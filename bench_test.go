@@ -298,44 +298,75 @@ var ba1k struct {
 func ba1kFixture(b *testing.B) (*topology.Architecture, *routing.CompiledTable) {
 	b.Helper()
 	ba1k.once.Do(func() {
-		g, err := randgraph.BarabasiAlbert(1000, 2, 8, 64, 5)
+		arch, err := baArchitecture(1000, 5)
 		if err != nil {
 			ba1k.err = err
 			return
 		}
-		arch := topology.New(g.Name(), g.Nodes(), nil)
-		seen := make(map[[2]graph.NodeID]bool)
-		for _, e := range g.Edges() {
-			u, v := e.From, e.To
-			if u > v {
-				u, v = v, u
-			}
-			if u == v || seen[[2]graph.NodeID{u, v}] {
-				continue
-			}
-			seen[[2]graph.NodeID{u, v}] = true
-			if err := arch.AddLink(u, v, 0); err != nil {
-				ba1k.err = err
-				return
-			}
-		}
-		table, err := routing.Build(arch)
-		if err != nil {
-			ba1k.err = err
-			return
-		}
-		vcs, err := routing.AssignVirtualChannels(table, arch, nil)
-		if err != nil {
-			ba1k.err = err
-			return
-		}
-		ba1k.table, ba1k.err = routing.CompileTable(table, arch, vcs)
+		ba1k.table, ba1k.err = compileDense(arch)
 		ba1k.arch = arch
 	})
 	if ba1k.err != nil {
 		b.Fatal(ba1k.err)
 	}
 	return ba1k.arch, ba1k.table
+}
+
+// baArchitecture projects an n-node Barabási–Albert graph (m = 2) onto
+// an undirected architecture: one link per connected node pair.
+func baArchitecture(n int, seed int64) (*topology.Architecture, error) {
+	g, err := randgraph.BarabasiAlbert(n, 2, 8, 64, seed)
+	if err != nil {
+		return nil, err
+	}
+	arch := topology.New(g.Name(), g.Nodes(), nil)
+	for _, e := range g.Edges() {
+		if e.From == e.To || arch.HasLink(e.From, e.To) {
+			continue
+		}
+		if err := arch.AddLink(e.From, e.To, 0); err != nil {
+			return nil, err
+		}
+	}
+	return arch, nil
+}
+
+// compileDense runs the dense routing pipeline the batch planner uses
+// up to 2048 routers: Build, AssignVirtualChannels, CompileTable.
+func compileDense(arch *topology.Architecture) (*routing.CompiledTable, error) {
+	table, err := routing.Build(arch)
+	if err != nil {
+		return nil, err
+	}
+	vcs, err := routing.AssignVirtualChannels(table, arch, nil)
+	if err != nil {
+		return nil, err
+	}
+	return routing.CompileTable(table, arch, vcs)
+}
+
+// BenchmarkCompileDenseBA256 times the full dense routing pipeline —
+// Build, AssignVirtualChannels, CompileTable — on a 256-router
+// Barabási–Albert topology, the size of a fresh serve-mix simulate.
+func BenchmarkCompileDenseBA256(b *testing.B) { benchCompileDense(b, 256) }
+
+// BenchmarkCompileDenseBA1k is BenchmarkCompileDenseBA256 at 1000
+// routers, the dense sim-sweep architecture (ba1kFixture's compile,
+// timed).
+func BenchmarkCompileDenseBA1k(b *testing.B) { benchCompileDense(b, 1000) }
+
+func benchCompileDense(b *testing.B, n int) {
+	arch, err := baArchitecture(n, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := compileDense(arch); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkStepIdle1k is BenchmarkStepIdle at 1000 routers: the idle-
@@ -410,28 +441,7 @@ var ba10k struct {
 func ba10kFixture(b *testing.B) *topology.Architecture {
 	b.Helper()
 	ba10k.once.Do(func() {
-		g, err := randgraph.BarabasiAlbert(10000, 2, 8, 64, 5)
-		if err != nil {
-			ba10k.err = err
-			return
-		}
-		arch := topology.New(g.Name(), g.Nodes(), nil)
-		seen := make(map[[2]graph.NodeID]bool)
-		for _, e := range g.Edges() {
-			u, v := e.From, e.To
-			if u > v {
-				u, v = v, u
-			}
-			if u == v || seen[[2]graph.NodeID{u, v}] {
-				continue
-			}
-			seen[[2]graph.NodeID{u, v}] = true
-			if err := arch.AddLink(u, v, 0); err != nil {
-				ba10k.err = err
-				return
-			}
-		}
-		ba10k.arch = arch
+		ba10k.arch, ba10k.err = baArchitecture(10000, 5)
 	})
 	if ba10k.err != nil {
 		b.Fatal(ba10k.err)

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
 	"math/bits"
 )
@@ -327,8 +326,8 @@ func (f *Frozen) ShortestPathTreeInto(src int, w []float64, s *TreeScratch) (dis
 	dist[src] = 0
 	pq := &s.pq
 	*pq = append((*pq)[:0], idxItem{id: int32(src), cost: 0})
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(idxItem)
+	for len(*pq) > 0 {
+		item := pq.pop()
 		u := int(item.id)
 		if done[u] {
 			continue
@@ -340,7 +339,7 @@ func (f *Frozen) ShortestPathTreeInto(src int, w []float64, s *TreeScratch) (dis
 			if nd < dist[v] || (nd == dist[v] && int32(u) < prev[v]) {
 				dist[v] = nd
 				prev[v] = int32(u)
-				heap.Push(pq, idxItem{id: v, cost: nd})
+				pq.push(idxItem{id: v, cost: nd})
 			}
 			e++
 		}
@@ -375,21 +374,50 @@ type idxItem struct {
 	cost float64
 }
 
+// idxPQ is a binary min-heap of (cost, id) items. push and pop are
+// container/heap's sift-up and sift-down specialized to the item type,
+// so items are never boxed into interfaces; the pop order is the same.
 type idxPQ []idxItem
 
-func (p idxPQ) Len() int { return len(p) }
-func (p idxPQ) Less(i, j int) bool {
+func (p idxPQ) less(i, j int) bool {
 	if p[i].cost != p[j].cost {
 		return p[i].cost < p[j].cost
 	}
 	return p[i].id < p[j].id
 }
-func (p idxPQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *idxPQ) Push(x interface{}) { *p = append(*p, x.(idxItem)) }
-func (p *idxPQ) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
+
+func (p *idxPQ) push(it idxItem) {
+	*p = append(*p, it)
+	h := *p
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (p *idxPQ) pop() idxItem {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*p = h[:n]
 	return it
 }

@@ -404,8 +404,8 @@ func csrSlot(nbr []int32, v int32) (int32, bool) {
 // Callers building several networks over the same (table, vc) should
 // compile once with routing.CompileTable and use NewCompiled.
 func New(cfg Config, arch *topology.Architecture, table routing.Table, vc routing.VCAssignment) (*Network, error) {
-	if arch == nil || table == nil {
-		return nil, fmt.Errorf("noc: nil architecture or table")
+	if arch == nil {
+		return nil, fmt.Errorf("noc: nil architecture")
 	}
 	ct, err := routing.CompileTable(table, arch, vc)
 	if err != nil {

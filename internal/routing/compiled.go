@@ -19,11 +19,11 @@ const maxCompiledVCs = 256
 // CompiledTable is the immutable runtime form of a routing table: for
 // each compiled (src, dst) pair, the full route, the per-hop virtual
 // channel and the per-hop output-port slot, flattened into shared arrays
-// computed once per table. The map-walking Table answers "what is the
-// next hop" one hop at a time; the compiled form answers "what is the
-// complete plan" with three slice views and no allocation — the shape
-// the simulator's injection path, the sweep harness and the service's
-// simulate path all consume.
+// computed once per table. The Table answers "what is the next hop" one
+// hop at a time; the compiled form answers "what is the complete plan"
+// with three slice views and no allocation — the shape the simulator's
+// injection path, the sweep harness and the service's simulate path all
+// consume.
 //
 // Two index layouts share the plan arrays. The dense layout spans every
 // ordered pair (start has n²+1 entries, O(n²) memory — 10⁸ spans at 10k
@@ -74,13 +74,16 @@ type CompiledTable struct {
 
 // CompileTable flattens a routing table and its deadlock-free VC
 // assignment over the architecture into a dense all-pairs CompiledTable.
-// Every ordered node pair is resolved through Table.Route and
-// VCAssignment.VCForHop — the compiled plans are definitionally
-// identical to what per-packet resolution would produce — and every hop
-// is checked against the architecture's frozen adjacency, so consumers
-// can trust plans without re-validating links.
+// Every ordered node pair's route is walked once through the table's
+// next-hop matrix as a sequence of frozen edge ids: each hop's output
+// slot is its edge id minus the router's first out-edge id, and its
+// dateline VC follows incrementally from the assignment's per-edge
+// labels — the plans are definitionally identical to Table.Route with
+// VCAssignment.VCForHop per hop. Every hop is checked against the
+// architecture's frozen adjacency, so consumers can trust plans without
+// re-validating links.
 func CompileTable(table Table, arch *topology.Architecture, vc VCAssignment) (*CompiledTable, error) {
-	if table == nil || arch == nil {
+	if len(table.ids) == 0 || arch == nil {
 		return nil, fmt.Errorf("routing: compile needs a table and an architecture")
 	}
 	return compileAllPairs(table, arch, vc)
@@ -90,7 +93,7 @@ func CompileTable(table Table, arch *topology.Architecture, vc VCAssignment) (*C
 // source into a sparse CompiledTable, attaching the router as the lazy
 // resolver for every pair outside the demand. A nil or all-pairs demand
 // degenerates to the dense layout of CompileTable. The router is any
-// route source — the map Table, or a SparseRouter for architectures too
+// route source — a Table, or a SparseRouter for architectures too
 // large to materialize a table at all.
 func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignment, pairs *PairSet) (*CompiledTable, error) {
 	if router == nil || arch == nil {
@@ -107,7 +110,6 @@ func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignme
 	if vc.NumVCs > maxCompiledVCs {
 		return nil, fmt.Errorf("routing: %d virtual channels exceed the compiled plan limit %d", vc.NumVCs, maxCompiledVCs)
 	}
-	ids := frz.IDs()
 	sorted := pairs.Sorted()
 	ct := &CompiledTable{
 		frz:    frz,
@@ -116,10 +118,13 @@ func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignme
 		dsts:   make([]int32, 0, len(sorted)),
 		start:  make([]int32, 0, len(sorted)+1),
 	}
+	pc := newPlanCompiler(router, frz, vc, false)
 	ct.start = append(ct.start, 0)
+	var buf []int32
 	for _, pr := range sorted {
 		s, d := int(pr[0]), int(pr[1])
-		if err := ct.appendPlan(router, ids, vc, s, d, false); err != nil {
+		var err error
+		if buf, err = pc.appendPlan(ct, s, d, false, buf); err != nil {
 			return nil, err
 		}
 		ct.dsts = append(ct.dsts, pr[1])
@@ -129,31 +134,41 @@ func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignme
 	for s := 0; s < n; s++ {
 		ct.srcOff[s+1] += ct.srcOff[s]
 	}
-	ct.lazy = newLazyPlans(router, vc)
+	ct.lazy = newLazyPlans(pc)
 	return ct, nil
 }
 
-// compileAllPairs builds the dense layout over every ordered pair.
+// compileAllPairs builds the dense layout over every ordered pair. For a
+// Table over the architecture's nodes the plan arrays are sized exactly
+// up front from the table's route lengths.
 func compileAllPairs(router Router, arch *topology.Architecture, vc VCAssignment) (*CompiledTable, error) {
 	frz := arch.Graph().Freeze()
 	n := frz.NodeCount()
 	if vc.NumVCs > maxCompiledVCs {
 		return nil, fmt.Errorf("routing: %d virtual channels exceed the compiled plan limit %d", vc.NumVCs, maxCompiledVCs)
 	}
-	ids := frz.IDs()
 	ct := &CompiledTable{
 		frz:    frz,
 		numVCs: vc.NumVCs,
 		start:  make([]int32, n*n+1),
 	}
-	for si := range ids {
-		for di := range ids {
-			pair := si*n + di
-			ct.start[pair] = int32(len(ct.nodes))
-			if si == di {
+	pc := newPlanCompiler(router, frz, vc, true)
+	if t := pc.w.table; t != nil {
+		if size := t.planPositions(); size >= 0 {
+			ct.nodes = make([]graph.NodeID, 0, size)
+			ct.vcs = make([]uint8, 0, size)
+			ct.outSlot = make([]int32, 0, size)
+		}
+	}
+	var buf []int32
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			ct.start[s*n+d] = int32(len(ct.nodes))
+			if s == d {
 				continue
 			}
-			if err := ct.appendPlan(router, ids, vc, si, di, false); err != nil {
+			var err error
+			if buf, err = pc.appendPlan(ct, s, d, false, buf); err != nil {
 				return nil, err
 			}
 		}
@@ -162,61 +177,121 @@ func compileAllPairs(router Router, arch *topology.Architecture, vc VCAssignment
 	return ct, nil
 }
 
-// appendPlan resolves pair (si, di) through the router and appends its
-// positions to the plan arrays, validating every hop against the frozen
-// adjacency. With clampVC set (the lazy path), out-of-range dateline VCs
-// are clamped into the table's lane range instead of failing: a lazily
-// resolved route may descend more often than any ahead-of-time route,
-// and the top lane is always a safe escape.
-func (ct *CompiledTable) appendPlan(router Router, ids []graph.NodeID, vc VCAssignment, si, di int, clampVC bool) error {
-	src, dst := ids[si], ids[di]
-	route, err := router.Route(src, dst)
-	if err != nil {
-		return fmt.Errorf("routing: compile %d->%d: %w", src, dst, err)
+// planPositions returns the total plan length — hops plus one — of every
+// ordered pair of distinct table nodes, or −1 if some route is missing
+// or loops. Each destination column is resolved once with memoized
+// depths, O(n) per column.
+func (t Table) planPositions() int {
+	n := len(t.ids)
+	const (
+		unknown = -1
+		pending = -2
+	)
+	depth := make([]int32, n)
+	var chain []int32
+	total := 0
+	for d := 0; d < n; d++ {
+		col := t.next[d*n : (d+1)*n]
+		for u := range depth {
+			depth[u] = unknown
+		}
+		depth[d] = 0
+		for u := 0; u < n; u++ {
+			// Follow u's route until a node of known depth, then unwind.
+			chain = chain[:0]
+			v := int32(u)
+			for depth[v] < 0 {
+				if depth[v] == pending || col[v] < 0 {
+					return -1
+				}
+				depth[v] = pending
+				chain = append(chain, v)
+				v = col[v]
+			}
+			for i := len(chain) - 1; i >= 0; i-- {
+				depth[chain[i]] = depth[v] + 1
+				v = chain[i]
+			}
+			if u != d {
+				total += int(depth[u]) + 1
+			}
+		}
 	}
-	frz := ct.frz
-	for i, id := range route {
-		ri, ok := frz.IndexOf(id)
-		if !ok {
-			return fmt.Errorf("routing: compile %d->%d: route visits unknown node %d", src, dst, id)
-		}
-		slot := int32(frz.OutDegree(ri)) // local ejection slot
-		if i+1 < len(route) {
-			next, ok := frz.IndexOf(route[i+1])
-			if !ok {
-				return fmt.Errorf("routing: compile %d->%d: route visits unknown node %d", src, dst, route[i+1])
-			}
-			slot, ok = csrSlotOf(frz.Out(ri), int32(next))
-			if !ok {
-				// A stale table compiled against a fault-masked
-				// architecture lands here: the route exists but a
-				// link it uses does not, so the pair is unroutable
-				// on this topology and the typed sentinel applies.
-				return fmt.Errorf("routing: compile %d->%d: route uses missing link %d-%d: %w",
-					src, dst, id, route[i+1], ErrNoRoute)
-			}
-		}
-		hopVC := 0
-		if i+1 < len(route) {
-			hopVC = vc.VCForHop(route, i)
-			maxVC := max(vc.NumVCs, 1)
-			if clampVC && hopVC >= maxVC {
-				hopVC = maxVC - 1
-			}
-			if hopVC < 0 || hopVC >= maxVC {
-				return fmt.Errorf("routing: compile %d->%d: hop %d VC %d outside [0,%d)",
-					src, dst, i, hopVC, maxVC)
-			}
-		}
-		ct.nodes = append(ct.nodes, id)
-		ct.vcs = append(ct.vcs, uint8(hopVC))
-		ct.outSlot = append(ct.outSlot, slot)
-	}
-	return nil
+	return total
 }
 
-// csrSlotOf returns the position of v in the ascending CSR neighbor row —
-// the simulator's output-port slot convention.
+// planCompiler turns routes into plan positions. It is immutable after
+// construction and safe for concurrent use (the lazy plan cache compiles
+// from several shards at once).
+type planCompiler struct {
+	w  *edgeWalker
+	vc VCAssignment
+	// labels is the assignment's dateline label per frozen edge id; nil
+	// when the assignment is single-VC or supplies its own per-hop VCs.
+	labels []int
+}
+
+func newPlanCompiler(router Router, frz *graph.Frozen, vc VCAssignment, allPairs bool) *planCompiler {
+	pc := &planCompiler{w: newEdgeWalker(router, frz, allPairs), vc: vc}
+	if vc.fn == nil && !vc.singleVC {
+		pc.labels = vc.edgeLabels(frz)
+	}
+	return pc
+}
+
+// appendPlan resolves pair (s, d) and appends its positions to ct's plan
+// arrays; buf is edge-id scratch, returned for reuse. With clampVC set
+// (the lazy path), out-of-range dateline VCs are clamped into the
+// table's lane range instead of failing: a lazily resolved route may
+// descend more often than any ahead-of-time route, and the top lane is
+// always a safe escape.
+func (pc *planCompiler) appendPlan(ct *CompiledTable, s, d int, clampVC bool, buf []int32) ([]int32, error) {
+	frz := pc.w.frz
+	ids := frz.IDs()
+	src, dst := ids[s], ids[d]
+	edges, err := pc.w.walk(s, d, buf[:0])
+	if err != nil {
+		return edges, fmt.Errorf("routing: compile %d->%d: %w", src, dst, err)
+	}
+	first := len(ct.nodes)
+	u := s
+	if len(edges) > 0 {
+		from, _ := frz.EdgeEndpoints(int(edges[0]))
+		u = int(from)
+	}
+	for _, e := range edges {
+		ct.nodes = append(ct.nodes, ids[u])
+		ct.outSlot = append(ct.outSlot, e-int32(frz.OutEdgeStart(u)))
+		_, to := frz.EdgeEndpoints(int(e))
+		u = int(to)
+	}
+	ct.nodes = append(ct.nodes, ids[u])
+	ct.outSlot = append(ct.outSlot, int32(frz.OutDegree(u))) // local ejection slot
+	maxVC := max(pc.vc.NumVCs, 1)
+	vc := 0
+	for i, e := range edges {
+		switch {
+		case pc.vc.fn != nil:
+			route := ct.nodes[first:len(ct.nodes):len(ct.nodes)]
+			vc = pc.vc.fn(route, i)
+		case pc.labels != nil && i > 0 && pc.labels[e] <= pc.labels[edges[i-1]]:
+			vc++
+		}
+		hopVC := vc
+		if clampVC && hopVC >= maxVC {
+			hopVC = maxVC - 1
+		}
+		if hopVC < 0 || hopVC >= maxVC {
+			return edges, fmt.Errorf("routing: compile %d->%d: hop %d VC %d outside [0,%d)",
+				src, dst, i, hopVC, maxVC)
+		}
+		ct.vcs = append(ct.vcs, uint8(hopVC))
+	}
+	ct.vcs = append(ct.vcs, 0)
+	return edges, nil
+}
+
+// csrSlotOf returns the position of v in an ascending index row.
 func csrSlotOf(nbr []int32, v int32) (int32, bool) {
 	lo, hi := 0, len(nbr)
 	for lo < hi {
@@ -447,15 +522,14 @@ type lazyShard struct {
 // happens under the shard lock, so concurrent injectors of the same pair
 // compile it once.
 type lazyPlans struct {
-	router   Router
-	vc       VCAssignment
+	pc       *planCompiler
 	perShard atomic.Int64
 	compiles atomic.Int64
 	shards   [lazyShardCount]lazyShard
 }
 
-func newLazyPlans(router Router, vc VCAssignment) *lazyPlans {
-	lp := &lazyPlans{router: router, vc: vc}
+func newLazyPlans(pc *planCompiler) *lazyPlans {
+	lp := &lazyPlans{pc: pc}
 	lp.setBound(DefaultLazyPlanBound)
 	return lp
 }
@@ -502,7 +576,7 @@ func (lp *lazyPlans) plan(ct *CompiledTable, s, d int) ([]graph.NodeID, []uint8,
 	// clamping apply verbatim; the three freshly cut slices then live in
 	// the cache, immutable.
 	scratch := &CompiledTable{frz: ct.frz, numVCs: ct.numVCs}
-	if err := scratch.appendPlan(lp.router, ct.frz.IDs(), lp.vc, s, d, true); err != nil {
+	if _, err := lp.pc.appendPlan(scratch, s, d, true, nil); err != nil {
 		return nil, nil, nil, false
 	}
 	lp.compiles.Add(1)

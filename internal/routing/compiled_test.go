@@ -116,18 +116,11 @@ func TestCompiledTableRejectsBrokenTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := make(Table)
-	for n, row := range table {
-		broken[n] = make(map[graph.NodeID]graph.NodeID, len(row))
-		for d, nh := range row {
-			broken[n][d] = nh
-		}
-	}
-	delete(broken[1], 4)
+	broken := withoutHop(t, table, 1, 4)
 	if _, err := CompileTable(broken, arch, vc); err == nil {
 		t.Fatal("incomplete table compiled")
 	}
-	if _, err := CompileTable(nil, arch, vc); err == nil {
+	if _, err := CompileTable(Table{}, arch, vc); err == nil {
 		t.Fatal("nil table compiled")
 	}
 	if _, err := CompileTable(table, nil, vc); err == nil {

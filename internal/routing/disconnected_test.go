@@ -144,10 +144,7 @@ func TestDisconnectedRouteReportsUnreachablePair(t *testing.T) {
 			// Build a table over the reachable component only, then ask
 			// it for the unreachable pair: the typed per-pair error must
 			// identify the endpoints.
-			table := Table{}
-			for src, routes := range mustComponentTable(t, f.masked, f.victim) {
-				table[src] = routes
-			}
+			table := mustComponentTable(t, f.masked, f.victim)
 			_, err := table.Route(f.someSrc, f.victim)
 			if !errors.Is(err, ErrNoRoute) {
 				t.Fatalf("Route to isolated node: %v, want ErrNoRoute", err)

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 // builds must reproduce it byte for byte.
 func referenceShortestPathTable(t *testing.T, arch *topology.Architecture) Table {
 	t.Helper()
-	tab := make(Table)
+	tab := newTable(arch.Nodes())
 	g := arch.Graph()
 	w := func(e graph.Edge) float64 {
 		if l, ok := arch.LinkBetween(e.From, e.To); ok {
@@ -44,22 +45,12 @@ func referenceShortestPathTable(t *testing.T, arch *topology.Architecture) Table
 	return tab
 }
 
+// tablesEqual reports whether two tables hold the same (node, dst, next)
+// entries, compared through their canonical hop lists.
 func tablesEqual(a, b Table) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for n, row := range a {
-		or, ok := b[n]
-		if !ok || len(row) != len(or) {
-			return false
-		}
-		for d, nh := range row {
-			if or[d] != nh {
-				return false
-			}
-		}
-	}
-	return true
+	ja, errA := a.MarshalJSON()
+	jb, errB := b.MarshalJSON()
+	return errA == nil && errB == nil && bytes.Equal(ja, jb)
 }
 
 // randomArch builds a connected random architecture with a floorplan (so
@@ -135,7 +126,7 @@ func TestBuildOnSynthesizedArchMatchesReference(t *testing.T) {
 	}
 	// Rebuild with the reference completion: install the same preferred
 	// routes, then complete per pair with map-graph Dijkstra first hops.
-	want := make(Table)
+	want := newTable(arch.Nodes())
 	for _, pair := range arch.PreferredPairs() {
 		route, _ := arch.PreferredRoute(pair[0], pair[1])
 		if err := want.installPath(route); err != nil {

@@ -89,37 +89,5 @@ func (o *MeshO1Turn) AdaptiveRoute(src, dst graph.NodeID, occupancy func(graph.N
 // YX builds dimension-ordered YX routing for a rows x cols mesh (rows
 // first, then columns) — the mirror of XY, also deadlock-free.
 func YX(rows, cols int) (Table, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("routing: bad mesh %dx%d", rows, cols)
-	}
-	t := make(Table)
-	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c + 1) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			n := id(r, c)
-			for dr := 0; dr < rows; dr++ {
-				for dc := 0; dc < cols; dc++ {
-					d := id(dr, dc)
-					if d == n {
-						continue
-					}
-					var next graph.NodeID
-					switch {
-					case dr > r:
-						next = id(r+1, c)
-					case dr < r:
-						next = id(r-1, c)
-					case dc > c:
-						next = id(r, c+1)
-					default:
-						next = id(r, c-1)
-					}
-					if err := t.set(n, d, next); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	return t, nil
+	return dimensionOrdered(rows, cols, true)
 }

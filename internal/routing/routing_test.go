@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +20,34 @@ func meshArch(t *testing.T, rows, cols int) *topology.Architecture {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// mustTable builds a table from (node, dst, next) hop triples, over every
+// node id they name.
+func mustTable(t *testing.T, hops ...[3]graph.NodeID) Table {
+	t.Helper()
+	list := make([]jsonHop, len(hops))
+	for i, h := range hops {
+		list[i] = jsonHop{Node: h[0], Dst: h[1], Next: h[2]}
+	}
+	table, err := tableFromHops(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
+// withoutHop returns a copy of table with the (node, dst) entry removed.
+func withoutHop(t *testing.T, table Table, node, dst graph.NodeID) Table {
+	t.Helper()
+	u, uok := table.index(node)
+	d, dok := table.index(dst)
+	if !uok || !dok {
+		t.Fatalf("no entry %d->%d to remove", node, dst)
+	}
+	out := Table{ids: table.ids, next: slices.Clone(table.next)}
+	out.next[d*len(out.ids)+u] = -1
+	return out
 }
 
 func TestXYRoutingCompleteAndDeadlockFree(t *testing.T) {
@@ -117,10 +146,7 @@ func TestTableRouteErrors(t *testing.T) {
 		t.Fatal("missing entry not reported")
 	}
 	// Loop: 1 -> 2 -> 1.
-	table = Table{
-		1: {3: 2},
-		2: {3: 1},
-	}
+	table = mustTable(t, [3]graph.NodeID{1, 3, 2}, [3]graph.NodeID{2, 3, 1})
 	if _, err := table.Route(1, 3); err == nil {
 		t.Fatal("loop not reported")
 	}
@@ -210,7 +236,7 @@ func TestChannelDependencyGraphOnRing(t *testing.T) {
 		}
 	}
 	// Force clockwise-only routing.
-	table := Table{}
+	table := newTable(graph.Range(1, 4))
 	for i := 1; i <= 4; i++ {
 		for d := 1; d <= 4; d++ {
 			if i == d {

@@ -1,8 +1,8 @@
 package routing
 
 // Demand-driven route sources for architectures too large to
-// materialize a next-hop Table: the map Table and Build are themselves
-// O(n²) in memory and time, so the 10k-router batch path routes from
+// materialize a next-hop Table: Table and Build are themselves O(n²) in
+// memory and time, so the 10k-router batch path routes from
 // shortest-path trees computed per demanded root instead. A
 // SparseRouter answers any pair from a bounded cache of source trees;
 // Precompute resolves a whole PairSet ahead of time with a parallel

@@ -26,17 +26,17 @@ raw=$(go test -run '^$' \
     -bench 'BenchmarkSolverParallelism|BenchmarkVF2GossipInAES|BenchmarkFig6_AESDecomposition|BenchmarkTableAES_Mesh|BenchmarkSweepUniformMesh|BenchmarkFrontierAES' \
     -benchmem -benchtime "$benchtime" -count "$count" .)
 
-# Simulator-kernel trajectory (PR 5 + the PR 7 SoA/batch engine + the
-# PR 9 sparse compile + the PR 10 partitioned kernel): idle-cycle cost
-# at 16 and 1000 routers, the allocation-free compiled-route injection
+# Simulator-kernel and routing-pipeline trajectory: idle-cycle cost at
+# 16 and 1000 routers, the allocation-free compiled-route injection
 # path, a warm Reset rate point, a pooled 1k-router batch sweep point,
-# the 10k-router demand-driven routing compile, and busy 1k/10k-router
-# uniform windows (landmark routes at 10k) at kernel partition counts
-# 1/2/4/8.
+# the 10k-router demand-driven routing compile, the dense Build -> VC
+# assignment -> compile pipeline at 256 and 1000 routers, and busy
+# 1k/10k-router uniform windows (landmark routes at 10k) at kernel
+# partition counts 1/2/4/8.
 # These run at a fixed longer benchtime — the per-op cost of the short
 # ones is nanoseconds, so 5 iterations would measure noise.
 raw_kernel=$(go test -run '^$' \
-    -bench 'BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileSparseBA10k|BenchmarkStepBusy' \
+    -bench 'BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileSparseBA10k|BenchmarkCompileDense|BenchmarkStepBusy' \
     -benchmem -benchtime 1s -count "$count" .)
 
 # Service-path trajectory: the cold (cache-miss, real solve) and hot
@@ -91,6 +91,15 @@ tojson() {
         }'
 }
 
+# The host the numbers were taken on: a figure is comparable only with
+# figures from the same CPU, core count, GOMAXPROCS and Go release.
+jsonstr() { printf '%s' "$1" | tr -d '"\\' ; }
+cpu_model=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+cpu_model=$(jsonstr "${cpu_model:-$(uname -m)}")
+host_nproc=$(nproc)
+host_gomaxprocs="${GOMAXPROCS:-$host_nproc}"
+host_go=$(jsonstr "$(go version)")
+
 entry_json=$(mktemp)
 {
     echo '{'
@@ -99,6 +108,7 @@ entry_json=$(mktemp)
     echo '  "suite": "solver+vf2+nocsim hot paths + batch engine + service path + saturation sweep",'
     echo "  \"benchtime\": \"$benchtime\","
     echo "  \"count\": $count,"
+    echo "  \"host\": {\"cpu\": \"$cpu_model\", \"nproc\": $host_nproc, \"gomaxprocs\": $host_gomaxprocs, \"go\": \"$host_go\"},"
     echo '  "results": ['
     echo "$raw" | tojson
     echo '  ],'
