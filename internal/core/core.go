@@ -61,14 +61,20 @@ func (m Match) CoveredEdges() [][2]graph.NodeID {
 
 // MappedRoute returns the route for the covered ACG edge (u,v) in ACG
 // vertex space: the primitive's implementation route translated through the
-// mapping. ok is false if (u,v) is not covered by this match.
+// mapping. ok is false if (u,v) is not covered by this match. The mapping
+// is injective and holds at most a primitive's few vertices, so the
+// preimages of u and v are found by a scan rather than an inverted map.
 func (m Match) MappedRoute(u, v graph.NodeID) ([]graph.NodeID, bool) {
-	inv := make(map[graph.NodeID]graph.NodeID, len(m.Mapping))
+	var pu, pv graph.NodeID
+	var ok1, ok2 bool
 	for p, a := range m.Mapping {
-		inv[a] = p
+		switch a {
+		case u:
+			pu, ok1 = p, true
+		case v:
+			pv, ok2 = p, true
+		}
 	}
-	pu, ok1 := inv[u]
-	pv, ok2 := inv[v]
 	if !ok1 || !ok2 {
 		return nil, false
 	}
@@ -233,12 +239,11 @@ type Options struct {
 	// IsoCacheEntries caps the match cache size. Zero means
 	// iso.DefaultCacheEntries.
 	IsoCacheEntries int
-	// IsoCacheMinCost sets how expensive an enumeration must have been for
-	// its result to be retained in the match cache. The search tree is
-	// allocation-heavy and the GC re-scans every retained mapping, so
-	// caching the plentiful cheap enumerations costs more in collector
-	// work than the hits save. Zero means the measured default
-	// (DefaultIsoCacheMinCost); negative retains everything.
+	// IsoCacheMinCost, when positive, retains in the match cache only the
+	// results whose enumeration took at least this long. Zero or negative
+	// retains every result, the measured default: cached candidate lists
+	// are a few small records, and hits pay on the scale-free and
+	// frontier workloads (see the match-cache notes in DESIGN.md).
 	IsoCacheMinCost time.Duration
 	// MaxLatency constrains the decomposition's volume-weighted average
 	// hop latency (Decomposition.AvgHops): subtrees that cannot finish at
@@ -273,9 +278,6 @@ type Options struct {
 	// DisableIsoCache is set.
 	MatchCache *MatchCache
 }
-
-// DefaultIsoCacheMinCost is the default match-cache retention threshold.
-const DefaultIsoCacheMinCost = time.Millisecond
 
 // DefaultMatchLimit bounds branching per primitive per level. The paper's
 // decomposition tree (Figure 2) branches once per library graph at each

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/floorplan"
 	"repro/internal/graph"
 )
 
@@ -30,6 +31,13 @@ type coster struct {
 	remEdge     []float64
 	nodeScratch []uint64
 
+	// center[i] is the floorplan center of ACG dense index i and placed[i]
+	// whether it has one (both nil without a placement, or in link mode);
+	// lengths is the worker-local route-length buffer of coreCost.
+	center  []floorplan.Point
+	placed  []bool
+	lengths []float64
+
 	// Latency-aware link-mode bound constants (see lowerBoundMask). latR0
 	// is the best edges-per-link ratio achievable without spending any
 	// latency slack (hop-free primitives and the 1:1 remainder); latRmax
@@ -55,6 +63,15 @@ func newCoster(p *Problem, facg *graph.Frozen, minEdge, remEdge []float64) coste
 	}
 	if facg != nil {
 		c.nodeScratch = make([]uint64, (facg.NodeCount()+63)/64)
+		if p.Options.Mode == CostEnergy && p.Placement != nil {
+			c.center = make([]floorplan.Point, facg.NodeCount())
+			c.placed = make([]bool, facg.NodeCount())
+			for i, id := range facg.IDs() {
+				if p.Placement.Has(id) {
+					c.center[i], c.placed[i] = p.Placement.Center(id), true
+				}
+			}
+		}
 	}
 	return c
 }
@@ -153,30 +170,37 @@ func (c *coster) straightLine(u, v graph.NodeID) float64 {
 	return c.p.Placement.EuclideanDistance(u, v)
 }
 
-// matchCost evaluates the match cost. In energy mode this is Equation 5:
-// every covered ACG edge's volume travels the primitive's optimal-schedule
-// route, whose per-hop lengths come from the floorplan. In link mode it is
-// the implementation-link count.
-func (c *coster) matchCost(m Match) float64 {
+// linkLengthIdx is linkLength between ACG dense indices, answered from the
+// center arrays with the same arithmetic as the placement.
+func (c *coster) linkLengthIdx(a, b int32) float64 {
+	if c.center == nil || !c.placed[a] || !c.placed[b] {
+		return 1
+	}
+	return floorplan.Manhattan(c.center[a], c.center[b])
+}
+
+// coreCost evaluates the match cost of a raw matching given as a VF2
+// core array (pattern dense index -> ACG dense index), with ids[r] the ACG
+// edge id covered by representation edge r. In energy mode this is
+// Equation 5: every covered ACG edge's volume travels the primitive's
+// optimal-schedule route, whose per-hop lengths come from the floorplan,
+// summed in representation-edge order. In link mode it is the
+// implementation-link count.
+func (c *coster) coreCost(pi *primInfo, core, ids []int32) float64 {
 	if c.p.Options.Mode == CostLinks {
-		return float64(m.Primitive.ImplLinkCount())
+		return float64(pi.links)
 	}
 	var total float64
-	for _, e := range m.Primitive.Rep.Edges() {
-		u, v := m.Mapping[e.From], m.Mapping[e.To]
-		acgEdge, ok := c.p.ACG.EdgeBetween(u, v)
-		if !ok {
+	for r, route := range pi.routes {
+		if route == nil {
 			continue
 		}
-		route, ok := m.MappedRoute(u, v)
-		if !ok {
-			continue
-		}
-		lengths := make([]float64, 0, len(route)-1)
+		lengths := c.lengths[:0]
 		for i := 0; i+1 < len(route); i++ {
-			lengths = append(lengths, c.linkLength(route[i], route[i+1]))
+			lengths = append(lengths, c.linkLengthIdx(core[route[i]], core[route[i+1]]))
 		}
-		total += c.p.Energy.TransferEnergy(acgEdge.Volume, lengths)
+		c.lengths = lengths
+		total += c.p.Energy.TransferEnergy(c.facg.Volume(int(ids[r])), lengths)
 	}
 	return total
 }

@@ -116,15 +116,19 @@ func TestGraphSigFrozenParity(t *testing.T) {
 	// the signature of the materialized remaining graph.
 	rng := rand.New(rand.NewSource(23))
 	mask := graph.FullEdgeMask(facg.EdgeCount())
-	var covered [][2]graph.NodeID
+	hashes := edgeHashes(facg)
+	var covered graphSig
 	for e := 0; e < facg.EdgeCount(); e++ {
 		if rng.Float64() < 0.4 {
 			mask.Clear(e)
 			ed := facg.EdgeAt(e)
-			covered = append(covered, [2]graph.NodeID{ed.From, ed.To})
+			if hashes[e] != edgeSig(ed.From, ed.To) {
+				t.Fatalf("edge %d: per-id hash differs from its endpoint hash", e)
+			}
+			covered = covered.xor(hashes[e])
 		}
 	}
-	inc := graphSigOfFrozen(facg).without(covered)
+	inc := graphSigOfFrozen(facg).xor(covered)
 	if inc != graphSigOf(facg.Materialize(mask)) {
 		t.Fatal("incremental signature diverges from materialized graph")
 	}

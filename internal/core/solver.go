@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/iso"
-	"repro/internal/primitives"
 )
 
 // ErrNoACG is returned when the problem has no application graph.
@@ -63,41 +61,9 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 		}
 	}
 
-	sh := &shared{p: &p, ctx: ctx, start: time.Now()}
-	sh.facg = p.ACG.Freeze()
-	sh.fullMask = graph.FullEdgeMask(sh.facg.EdgeCount())
-	sh.minEdge, sh.remEdge = edgeCostConstants(&p, sh.facg)
-	sh.latWeight, sh.totalWeight = latencyWeights(sh.facg)
-	sh.pats = make([]*graph.Frozen, len(p.Library.Primitives()))
-	for i, prim := range p.Library.Primitives() {
-		sh.pats[i] = prim.Rep.Freeze()
-	}
-	if p.Options.Timeout > 0 {
-		sh.deadline = sh.start.Add(p.Options.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (sh.deadline.IsZero() || d.Before(sh.deadline)) {
-		sh.deadline = d
-	}
-	sh.matchLimit = p.Options.MatchLimit
-	if sh.matchLimit == 0 {
-		sh.matchLimit = DefaultMatchLimit
-	}
-	sh.isoLimit = p.Options.IsoLimit
-	if sh.isoLimit == 0 {
-		sh.isoLimit = DefaultIsoLimit
-	}
-	if !p.Options.DisableIsoCache {
-		if p.Options.MatchCache != nil {
-			sh.cache = p.Options.MatchCache.inner
-		} else {
-			sh.cache = newMatchCache(p.Options.IsoCacheEntries)
-		}
-		sh.cacheMinCost = p.Options.IsoCacheMinCost
-		if sh.cacheMinCost == 0 {
-			sh.cacheMinCost = DefaultIsoCacheMinCost
-		} else if sh.cacheMinCost < 0 {
-			sh.cacheMinCost = 0
-		}
+	sh, err := newShared(ctx, &p)
+	if err != nil {
+		return Result{}, err
 	}
 	// A shared cache carries counters from earlier solves; snapshot them
 	// so Stats reports this solve's hits and misses, not the sweep's.
@@ -160,6 +126,50 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 	return Result{Best: sh.inc.take(), Stats: stats}, nil
 }
 
+// newShared freezes the problem into the read-only per-solve state every
+// worker shares: the CSR ACG, its per-edge cost, latency and signature
+// tables, the library in dense pattern form, the effective deadline and
+// limits, and the match cache.
+func newShared(ctx context.Context, p *Problem) (*shared, error) {
+	sh := &shared{p: p, ctx: ctx, start: time.Now()}
+	sh.facg = p.ACG.Freeze()
+	sh.fullMask = graph.FullEdgeMask(sh.facg.EdgeCount())
+	sh.minEdge, sh.remEdge = edgeCostConstants(p, sh.facg)
+	sh.latWeight, sh.totalWeight = latencyWeights(sh.facg)
+	sh.edgeHash = edgeHashes(sh.facg)
+	sh.prims = make([]primInfo, p.Library.Len())
+	for i, prim := range p.Library.Primitives() {
+		info, err := newPrimInfo(prim)
+		if err != nil {
+			return nil, err
+		}
+		sh.prims[i] = info
+	}
+	if p.Options.Timeout > 0 {
+		sh.deadline = sh.start.Add(p.Options.Timeout)
+	}
+	if d, ok := ctx.Deadline(); ok && (sh.deadline.IsZero() || d.Before(sh.deadline)) {
+		sh.deadline = d
+	}
+	sh.matchLimit = p.Options.MatchLimit
+	if sh.matchLimit == 0 {
+		sh.matchLimit = DefaultMatchLimit
+	}
+	sh.isoLimit = p.Options.IsoLimit
+	if sh.isoLimit == 0 {
+		sh.isoLimit = DefaultIsoLimit
+	}
+	if !p.Options.DisableIsoCache {
+		if p.Options.MatchCache != nil {
+			sh.cache = p.Options.MatchCache.inner
+		} else {
+			sh.cache = newMatchCache(p.Options.IsoCacheEntries)
+		}
+		sh.cacheMinCost = max(p.Options.IsoCacheMinCost, 0)
+	}
+	return sh, nil
+}
+
 // shared is the state all DFS workers of one solve see: the read-only
 // problem, its frozen CSR form, the deadline/cancellation signals, the
 // memoized match cache and the incumbent best decomposition.
@@ -169,11 +179,13 @@ type shared struct {
 
 	// facg is the ACG frozen once per solve; every remaining graph of the
 	// search is facg plus a live-edge bitmask. fullMask has every edge set;
-	// pats are the library representation graphs frozen once, indexed like
-	// Library.Primitives().
+	// prims are the library primitives in frozen-pattern index form,
+	// indexed like Library.Primitives(); edgeHash[e] is edge e's Zobrist
+	// term of graphSig, so a cover's signature is the XOR over its ids.
 	facg     *graph.Frozen
 	fullMask graph.EdgeMask
-	pats     []*graph.Frozen
+	prims    []primInfo
+	edgeHash []graphSig
 
 	// minEdge/remEdge are the energy-mode per-edge cost constants, shared
 	// read-only by every worker's coster (nil in link mode).
@@ -201,16 +213,30 @@ type shared struct {
 }
 
 func (sh *shared) newWorker() *worker {
-	return &worker{sh: sh, coster: newCoster(sh.p, sh.facg, sh.minEdge, sh.remEdge)}
+	w := &worker{sh: sh, coster: newCoster(sh.p, sh.facg, sh.minEdge, sh.remEdge)}
+	w.visitFn = w.visit
+	return w
 }
 
 // worker runs depth-first branch-and-bound over root branches it claims
 // from the shared counter. Its statistics are local (merged after the
-// search) so the hot path stays free of shared writes.
+// search) so the hot path stays free of shared writes. The remaining
+// fields are the reusable state of enumerate (see enumerate.go): the VF2
+// searcher and the flat arena the raw matchings are deduplicated in.
 type worker struct {
 	sh     *shared
 	coster coster
 	stats  Stats
+
+	search  iso.Searcher
+	visitFn func(core []int32) // w.visit, bound once
+	cur     *primInfo          // primitive of the running enumeration
+	recs    []coverRec         // distinct covers, first-seen order
+	ids     []int32            // recs[i]'s sorted edge ids at [i*k:(i+1)*k]
+	cores   []int32            // recs[i]'s best core at [i*pn:(i+1)*pn]
+	byCover coverIndex         // cover signature -> newest rec with it
+	order   []int32            // rec indices, cost-sorted
+	hops    []float64          // per sorted covered edge, its route hops
 }
 
 // stopped reports whether the search should halt, latching the shared stop
@@ -239,7 +265,6 @@ func (w *worker) stopped() bool {
 // branch is one top-level work unit: a candidate expansion of the root.
 type branch struct {
 	cand candidate
-	rank string
 	sig  graphSig // signature of the ACG minus the branch's covered edges
 }
 
@@ -255,8 +280,8 @@ func (w *worker) collectRootBranches() []branch {
 		if live < prim.Rep.EdgeCount() || nodes < prim.Size {
 			continue
 		}
-		for _, cand := range w.enumerate(primIdx, prim, sh.fullMask, rootSig) {
-			out = append(out, branch{cand: cand, rank: candRank(primIdx, cand.covered), sig: rootSig.without(cand.covered)})
+		for _, cand := range w.enumerate(primIdx, sh.fullMask, rootSig) {
+			out = append(out, branch{cand: cand, sig: rootSig.xor(cand.coverSig)})
 		}
 	}
 	return out
@@ -278,7 +303,7 @@ func (w *worker) run(branches []branch) {
 		m := b.cand.match
 		m.Depth = 0
 		mask := w.sh.fullMask.Without(b.cand.coveredIDs)
-		w.dfs(mask, w.sh.facg.EdgeCount()-len(b.cand.coveredIDs), b.sig, []Match{m}, []string{b.rank}, m.Cost, b.cand.wHops, w.sh.totalWeight-b.cand.weight)
+		w.dfs(mask, w.sh.facg.EdgeCount()-len(b.cand.coveredIDs), b.sig, []Match{m}, []string{b.cand.rank}, m.Cost, b.cand.wHops, w.sh.totalWeight-b.cand.weight)
 	}
 }
 
@@ -345,20 +370,19 @@ func (w *worker) dfs(mask graph.EdgeMask, live int, sig graphSig, matches []Matc
 			// expands it earlier covers that part of the space.
 			continue
 		}
-		cands := w.enumerate(primIdx, prim, mask, sig)
+		cands := w.enumerate(primIdx, mask, sig)
 		for _, cand := range cands {
 			if w.stopped() {
 				return
 			}
-			rank := candRank(primIdx, cand.covered)
-			if rank <= minRank {
+			if cand.rank <= minRank {
 				continue
 			}
 			expanded = true
 			w.stats.MatchingsTried++
 			cand.match.Depth = len(matches)
 			next := mask.Without(cand.coveredIDs)
-			w.dfs(next, live-len(cand.coveredIDs), sig.without(cand.covered), append(matches, cand.match), append(ranks, rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
+			w.dfs(next, live-len(cand.coveredIDs), sig.xor(cand.coverSig), append(matches, cand.match), append(ranks, cand.rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
 		}
 	}
 
@@ -518,17 +542,19 @@ func seqLess(a, b []string) bool {
 	return len(a) < len(b)
 }
 
-// candidate pairs a costed match with the ACG edges it covers, both as
-// (From, To) NodeID pairs (for the canonical rank key) and as frozen edge
-// ids (for the bitmask update). wHops/weight are its latency-objective
-// contributions — the weighted hop count of its mapped routes and the
-// latency weight of its covered edges — precomputed here because they
-// depend only on the match, never on the live mask, so cached candidate
-// lists stay valid across tree nodes and across sweep solves.
+// candidate pairs a costed match with the ACG edges it covers as
+// ascending frozen edge ids (for the bitmask update), their signature
+// (for the incremental graphSig update) and the canonical expansion rank
+// built from them. wHops/weight are its latency-objective contributions —
+// the weighted hop count of its mapped routes and the latency weight of
+// its covered edges. All of it depends only on the match, never on the
+// live mask, so cached candidate lists stay valid across tree nodes and
+// across sweep solves.
 type candidate struct {
 	match      Match
-	covered    [][2]graph.NodeID
 	coveredIDs []int32
+	coverSig   graphSig
+	rank       string
 	wHops      float64
 	weight     float64
 }
@@ -555,115 +581,6 @@ func latencyWeights(facg *graph.Frozen) ([]float64, float64) {
 	return w, total
 }
 
-// enumerate lists the matchings of one primitive in the remaining graph
-// (the frozen ACG restricted to mask), deduplicated by covered edge set
-// (keeping the cheapest mapping — two matchings that remove the same edges
-// lead to identical subtrees, so only the cheaper embedding can belong to
-// the optimum), ranked by cost, and capped at the match limit.
-//
-// The whole result is memoized in the shared match cache, keyed by
-// primitive index plus the incremental signature of the remaining graph:
-// distinct match orders reconverge on the same remaining graph, and a hit
-// skips not just the VF2 enumeration but the covered-edge extraction,
-// Equation 5 costing and dedup of up to IsoLimit raw mappings. Caching the
-// finished candidate list (at most MatchLimit entries) rather than the raw
-// mapping set keeps the retained memory per entry tiny.
-func (w *worker) enumerate(primIdx int, prim *primitives.Primitive, mask graph.EdgeMask, sig graphSig) []candidate {
-	cacheKey := matchKey{prim: primIdx, sig: sig}
-	var missStart time.Time
-	if w.sh.cache != nil {
-		if cands, ok := w.sh.cache.get(cacheKey); ok {
-			return cands
-		}
-		missStart = time.Now()
-	}
-	opts := iso.Options{}
-	if w.sh.isoLimit > 0 {
-		opts.Limit = w.sh.isoLimit
-	}
-	if w.sh.p.Options.IsoTimeout > 0 {
-		opts.Deadline = time.Now().Add(w.sh.p.Options.IsoTimeout)
-	}
-	if !w.sh.deadline.IsZero() && (opts.Deadline.IsZero() || w.sh.deadline.Before(opts.Deadline)) {
-		opts.Deadline = w.sh.deadline
-	}
-	mappings, err := iso.FindAllFrozen(w.sh.pats[primIdx], w.sh.facg, mask, opts)
-	if err != nil && len(mappings) == 0 {
-		return nil
-	}
-
-	bestByCover := make(map[string]candidate)
-	var order []string
-	for _, mp := range mappings {
-		m := Match{Primitive: prim, Mapping: mp}
-		covered := m.CoveredEdges()
-		m.Cost = w.coster.matchCost(m)
-		key := coverKey(covered)
-		old, ok := bestByCover[key]
-		if !ok {
-			order = append(order, key)
-			bestByCover[key] = candidate{match: m, covered: covered}
-		} else if m.Cost < old.match.Cost {
-			bestByCover[key] = candidate{match: m, covered: covered}
-		}
-	}
-	cands := make([]candidate, 0, len(order))
-	for _, key := range order {
-		cands = append(cands, bestByCover[key])
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].match.Cost < cands[j].match.Cost
-	})
-	if w.sh.matchLimit > 0 && len(cands) > w.sh.matchLimit {
-		cands = cands[:w.sh.matchLimit]
-	}
-	// Translate cover keys to frozen edge ids and price the latency
-	// contributions only for the candidates that survived the cap.
-	for i := range cands {
-		ids := w.coveredEdgeIDs(cands[i].covered)
-		cands[i].coveredIDs = ids
-		var wh, wt float64
-		for j, k := range cands[i].covered {
-			hops := 1.0
-			if route, ok := cands[i].match.MappedRoute(k[0], k[1]); ok && len(route) > 1 {
-				hops = float64(len(route) - 1)
-			}
-			lw := w.sh.latWeight[ids[j]]
-			wt += lw
-			wh += lw * hops
-		}
-		cands[i].wHops, cands[i].weight = wh, wt
-	}
-	if w.sh.cache != nil && err == nil && time.Since(missStart) >= w.sh.cacheMinCost {
-		// Retain only results that were genuinely expensive to compute:
-		// the search tree is allocation-heavy, and the GC re-scans every
-		// retained mapping on each cycle, so caching the plentiful cheap
-		// enumerations costs more in collector work than the hits save
-		// (measured; see the match-cache notes in DESIGN.md). err != nil
-		// means a deadline truncated the enumeration: the list is usable
-		// for this node but must not be served as complete later.
-		w.sh.cache.put(cacheKey, cands)
-	}
-	return cands
-}
-
-// coveredEdgeIDs translates covered (From, To) NodeID pairs into frozen
-// edge ids of the root ACG.
-func (w *worker) coveredEdgeIDs(covered [][2]graph.NodeID) []int32 {
-	ids := make([]int32, len(covered))
-	for i, k := range covered {
-		u, _ := w.sh.facg.IndexOf(k[0])
-		v, _ := w.sh.facg.IndexOf(k[1])
-		e, ok := w.sh.facg.EdgeIndexBetween(u, v)
-		if !ok {
-			// A match can only cover edges of the graph it was found in.
-			panic(fmt.Sprintf("decompose: covered edge %d->%d not in ACG", k[0], k[1]))
-		}
-		ids[i] = int32(e)
-	}
-	return ids
-}
-
 // graphSig is a 128-bit Zobrist-style signature of a graph's directed edge
 // set: the XOR of a pseudorandom hash per edge. Because XOR is its own
 // inverse, the signature of a child node's remaining graph is derived from
@@ -674,15 +591,10 @@ func (w *worker) coveredEdgeIDs(covered [][2]graph.NodeID) []int32 {
 // unlikely even across millions of distinct tree nodes.
 type graphSig struct{ a, b uint64 }
 
-// without returns the signature with the given edges removed (or,
-// symmetrically, added — XOR toggles).
-func (s graphSig) without(edges [][2]graph.NodeID) graphSig {
-	for _, e := range edges {
-		h := edgeSig(e[0], e[1])
-		s.a ^= h.a
-		s.b ^= h.b
-	}
-	return s
+// xor returns the signature with the edges whose combined signature is o
+// removed (or, symmetrically, added — XOR toggles).
+func (s graphSig) xor(o graphSig) graphSig {
+	return graphSig{s.a ^ o.a, s.b ^ o.b}
 }
 
 // graphSigOf hashes a full edge set, used by tests and map-graph callers.
@@ -701,14 +613,22 @@ func graphSigOf(g *graph.Graph) graphSig {
 // thawed graph.
 func graphSigOfFrozen(f *graph.Frozen) graphSig {
 	var s graphSig
-	ids := f.IDs()
-	for e := 0; e < f.EdgeCount(); e++ {
-		from, to := f.EdgeEndpoints(e)
-		h := edgeSig(ids[from], ids[to])
-		s.a ^= h.a
-		s.b ^= h.b
+	for _, h := range edgeHashes(f) {
+		s = s.xor(h)
 	}
 	return s
+}
+
+// edgeHashes returns every frozen edge's signature term, indexed by edge
+// id.
+func edgeHashes(f *graph.Frozen) []graphSig {
+	hs := make([]graphSig, f.EdgeCount())
+	ids := f.IDs()
+	for e := range hs {
+		from, to := f.EdgeEndpoints(e)
+		hs[e] = edgeSig(ids[from], ids[to])
+	}
+	return hs
 }
 
 func edgeSig(u, v graph.NodeID) graphSig {
@@ -800,19 +720,16 @@ func (c *matchCache) put(key matchKey, cands []candidate) {
 }
 
 // candRank builds the canonical expansion rank of a candidate: library
-// position then covered-edge key. Disjoint matches always differ in cover
-// key, so ranks are unique within a decomposition.
-func candRank(primIdx int, covered [][2]graph.NodeID) string {
-	return string([]byte{byte(primIdx >> 8), byte(primIdx)}) + coverKey(covered)
-}
-
-func coverKey(covered [][2]graph.NodeID) string {
-	b := make([]byte, 0, len(covered)*8)
-	for _, k := range covered {
-		b = append(b,
-			byte(k[0]>>8), byte(k[0]),
-			byte(k[1]>>8), byte(k[1]),
-		)
+// position then the (From, To) NodeIDs of its covered edges in ascending
+// edge-id — that is (From, To) — order. Disjoint matches always differ in
+// covered edges, so ranks are unique within a decomposition.
+func candRank(primIdx int, facg *graph.Frozen, ids []int32) string {
+	b := make([]byte, 2, 2+len(ids)*4)
+	b[0], b[1] = byte(primIdx>>8), byte(primIdx)
+	for _, e := range ids {
+		from, to := facg.EdgeEndpoints(int(e))
+		u, v := facg.IDOf(int(from)), facg.IDOf(int(to))
+		b = append(b, byte(u>>8), byte(u), byte(v>>8), byte(v))
 	}
 	return string(b)
 }

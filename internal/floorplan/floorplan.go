@@ -98,8 +98,13 @@ func (p *Placement) Area() float64 { return p.ChipW * p.ChipH }
 // ManhattanDistance returns |dx|+|dy| between the core centers: the length
 // a rectilinear link between the two cores must span.
 func (p *Placement) ManhattanDistance(a, b graph.NodeID) float64 {
-	ca, cb := p.Center(a), p.Center(b)
-	return math.Abs(ca.X-cb.X) + math.Abs(ca.Y-cb.Y)
+	return Manhattan(p.Center(a), p.Center(b))
+}
+
+// Manhattan returns |dx|+|dy| between two points. Callers that cache core
+// centers in dense arrays use it to reproduce ManhattanDistance exactly.
+func Manhattan(a, b Point) float64 {
+	return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y)
 }
 
 // EuclideanDistance returns the straight-line distance between core

@@ -18,8 +18,10 @@
 // CSR views: adjacency rows are read as zero-copy subslices, target-edge
 // membership is a flat bitset, and the solver's edge-subset bitmask
 // (graph.EdgeMask) restricts the target without materializing a subtracted
-// graph. FindAll remains the map-graph convenience front; FindAllFrozen is
-// the hot-path entry the decomposition solver uses.
+// graph. FindAll remains the map-graph convenience front; FindAllFrozen
+// collects Mappings over frozen graphs; FindEachFrozen and the reusable
+// Searcher stream each matching as a dense core array without building a
+// Mapping — the hot-path entry the decomposition solver uses.
 package iso
 
 import (
@@ -100,14 +102,79 @@ func FindAll(pattern, target *graph.Graph, opts Options) ([]Mapping, error) {
 // FindAllFrozen enumerates subgraph monomorphisms from the frozen pattern
 // into the frozen target restricted to the edges set in mask (nil means
 // every edge). Enumeration order is identical to FindAll on the equivalent
-// map graphs: dense indices ascend by NodeID in both representations.
+// map graphs: dense indices ascend by NodeID in both representations. It
+// is FindEachFrozen collecting every visited core into a Mapping.
 func FindAllFrozen(pattern, target *graph.Frozen, mask graph.EdgeMask, opts Options) ([]Mapping, error) {
-	s := newState(pattern, target, mask, opts)
+	var out []Mapping
+	pID, tID := pattern.IDs(), target.IDs()
+	_, err := FindEachFrozen(pattern, target, mask, opts, func(core []int32) {
+		m := make(Mapping, len(core))
+		for pi, ti := range core {
+			m[pID[pi]] = tID[ti]
+		}
+		out = append(out, m)
+	})
+	return out, err
+}
+
+// FindEachFrozen is the streaming form of FindAllFrozen: it calls visit
+// with each matching, in the same order, as the live pattern->target core
+// array (core[pi] is the target dense index of pattern dense index pi),
+// and returns how many it visited. The array is the search's own state,
+// valid only during the call; a visitor that keeps a matching copies it.
+// Limit and Deadline are honoured exactly as FindAllFrozen does.
+func FindEachFrozen(pattern, target *graph.Frozen, mask graph.EdgeMask, opts Options, visit func(core []int32)) (int, error) {
+	var s Searcher
+	return s.FindEach(pattern, target, mask, opts, visit)
+}
+
+// Searcher runs FindEachFrozen queries with reusable search state: the
+// pattern-side rows and visit order are derived once per pattern, and the
+// target-side rows, bitsets, core arrays and per-depth candidate lists
+// are buffers grown to the largest query and then reused, so a warm
+// Searcher enumerates without allocating. Patterns are remembered by
+// pointer and must not change between queries (a graph.Frozen never
+// does). A Searcher is not safe for concurrent use; the zero value is
+// ready to use.
+type Searcher struct {
+	st   state
+	pats map[*graph.Frozen]*patternSide
+}
+
+// patternSide is the query-independent half of the search state.
+type patternSide struct {
+	out, in [][]int32 // adjacency rows aliasing the Frozen CSR
+	order   []int32   // connectivity-first visit order
+}
+
+// FindEach is FindEachFrozen on the Searcher's reusable state.
+func (sr *Searcher) FindEach(pattern, target *graph.Frozen, mask graph.EdgeMask, opts Options, visit func(core []int32)) (int, error) {
+	s := &sr.st
+	s.reset(sr.patternSide(pattern), pattern, target, mask, opts, visit)
 	if !s.plausible() {
-		return nil, nil
+		return 0, nil
 	}
 	err := s.search(0)
-	return s.results, err
+	s.visit = nil
+	return s.found, err
+}
+
+func (sr *Searcher) patternSide(p *graph.Frozen) *patternSide {
+	if ps, ok := sr.pats[p]; ok {
+		return ps
+	}
+	n := p.NodeCount()
+	ps := &patternSide{out: make([][]int32, n), in: make([][]int32, n)}
+	for i := 0; i < n; i++ {
+		ps.out[i] = p.Out(i)
+		ps.in[i] = p.In(i)
+	}
+	ps.order = connectivityOrder(n, ps.out, ps.in)
+	if sr.pats == nil {
+		sr.pats = make(map[*graph.Frozen]*patternSide)
+	}
+	sr.pats[p] = ps
+	return ps
 }
 
 // state carries the VF2 search state in dense index space. Pattern and
@@ -115,18 +182,19 @@ func FindAllFrozen(pattern, target *graph.Frozen, mask graph.EdgeMask, opts Opti
 // filtered copies packed into one flat backing array); core arrays hold the
 // partial mapping; terminal-set membership depths (tin/tout) implement the
 // VF2 look-ahead sets; tAdjOut/tAdjIn are flat bitsets for O(1) target edge
-// membership.
+// membership. Every slice is a buffer reused across queries (see reset).
 type state struct {
-	opts Options
+	opts  Options
+	visit func(core []int32)
 
 	pn, tn int // vertex counts
-
-	pID, tID []graph.NodeID // dense index -> original id
 
 	pOut, pIn [][]int32 // pattern adjacency (dense)
 	tOut, tIn [][]int32 // target adjacency (dense, mask-filtered)
 
 	pEdges, tEdges int
+
+	outFlat, inFlat []int32 // backing arrays of the mask-filtered rows
 
 	tw              int      // bitset row width in words
 	tAdjOut, tAdjIn []uint64 // target adjacency bitsets, row per vertex
@@ -141,26 +209,26 @@ type state struct {
 
 	order []int32 // pattern vertex visit order (connectivity-first)
 
-	results   []Mapping
+	// cands[d] is the candidate list of search depth d; each depth owns
+	// its buffer, so a deeper level never clobbers a list being walked.
+	cands [][]int32
+
+	found     int
 	checkTick int
 	deadline  bool
 }
 
-func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
-	s := &state{opts: opts}
+// reset prepares the state for one query, reusing every buffer whose
+// capacity suffices.
+func (s *state) reset(ps *patternSide, p, t *graph.Frozen, mask graph.EdgeMask, opts Options, visit func(core []int32)) {
+	s.opts, s.visit = opts, visit
+	s.found, s.checkTick, s.deadline = 0, 0, false
 	s.pn, s.tn = p.NodeCount(), t.NodeCount()
-	s.pID, s.tID = p.IDs(), t.IDs()
 	s.pEdges = p.EdgeCount()
+	s.pOut, s.pIn, s.order = ps.out, ps.in, ps.order
 
-	s.pOut = make([][]int32, s.pn)
-	s.pIn = make([][]int32, s.pn)
-	for i := 0; i < s.pn; i++ {
-		s.pOut[i] = p.Out(i)
-		s.pIn[i] = p.In(i)
-	}
-
-	s.tOut = make([][]int32, s.tn)
-	s.tIn = make([][]int32, s.tn)
+	s.tOut = resize(s.tOut, s.tn)
+	s.tIn = resize(s.tIn, s.tn)
 	if mask == nil {
 		for i := 0; i < s.tn; i++ {
 			s.tOut[i] = t.Out(i)
@@ -171,8 +239,8 @@ func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
 		// Pack the mask-filtered rows into two flat backing arrays. The
 		// capacity covers every edge, so the append never reallocates and
 		// the row subslices stay valid.
-		outFlat := make([]int32, 0, t.EdgeCount())
-		inFlat := make([]int32, 0, t.EdgeCount())
+		outFlat := resize(s.outFlat, t.EdgeCount())[:0]
+		inFlat := resize(s.inFlat, t.EdgeCount())[:0]
 		for i := 0; i < s.tn; i++ {
 			e := t.OutEdgeStart(i)
 			lo := len(outFlat)
@@ -194,12 +262,13 @@ func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
 			}
 			s.tIn[i] = inFlat[lo:len(inFlat):len(inFlat)]
 		}
+		s.outFlat, s.inFlat = outFlat, inFlat
 		s.tEdges = len(outFlat)
 	}
 
 	s.tw = (s.tn + 63) / 64
-	s.tAdjOut = make([]uint64, s.tn*s.tw)
-	s.tAdjIn = make([]uint64, s.tn*s.tw)
+	s.tAdjOut = zeroed(s.tAdjOut, s.tn*s.tw)
+	s.tAdjIn = zeroed(s.tAdjIn, s.tn*s.tw)
 	for i := 0; i < s.tn; i++ {
 		row := i * s.tw
 		for _, v := range s.tOut[i] {
@@ -210,14 +279,13 @@ func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
 		}
 	}
 
-	s.core1 = fill(s.pn, -1)
-	s.core2 = fill(s.tn, -1)
-	s.out1 = make([]int32, s.pn)
-	s.in1 = make([]int32, s.pn)
-	s.out2 = make([]int32, s.tn)
-	s.in2 = make([]int32, s.tn)
-	s.order = connectivityOrder(s.pn, s.pOut, s.pIn)
-	return s
+	s.core1 = filled(s.core1, s.pn, -1)
+	s.core2 = filled(s.core2, s.tn, -1)
+	s.out1 = zeroed(s.out1, s.pn)
+	s.in1 = zeroed(s.in1, s.pn)
+	s.out2 = zeroed(s.out2, s.tn)
+	s.in2 = zeroed(s.in2, s.tn)
+	s.cands = resize(s.cands, s.pn)
 }
 
 // hasOutEdge reports whether the target edge ti->tt survives the mask.
@@ -257,16 +325,13 @@ func (s *state) search(depth int) error {
 		}
 	}
 	if depth == s.pn {
-		m := make(Mapping, s.pn)
-		for pi, ti := range s.core1 {
-			m[s.pID[pi]] = s.tID[ti]
-		}
-		s.results = append(s.results, m)
+		s.found++
+		s.visit(s.core1)
 		return nil
 	}
 
 	pi := s.order[depth]
-	for _, ti := range s.candidates(pi) {
+	for _, ti := range s.candidates(depth, pi) {
 		if !s.feasible(pi, ti) {
 			continue
 		}
@@ -276,37 +341,52 @@ func (s *state) search(depth int) error {
 			return err
 		}
 		s.removePair(pi, ti, int32(depth+1))
-		if s.opts.Limit > 0 && len(s.results) >= s.opts.Limit {
+		if s.opts.Limit > 0 && s.found >= s.opts.Limit {
 			return nil
 		}
 	}
 	return nil
 }
 
-// candidates returns the target vertices to try for pattern vertex pi, in
-// ascending original-id order for determinism. If pi has a mapped neighbor
+// candidates returns the target vertices to try for pattern vertex pi at
+// the given search depth, in ascending original-id order for determinism,
+// collected into that depth's scratch buffer. If pi has a mapped neighbor
 // the candidates are restricted to the corresponding target neighborhood.
-func (s *state) candidates(pi int32) []int32 {
+func (s *state) candidates(depth int, pi int32) []int32 {
 	// Prefer anchoring through an already-mapped pattern predecessor or
 	// successor: candidates are then the target neighbors of its image.
 	for _, pp := range s.pIn[pi] {
 		if tt := s.core1[pp]; tt >= 0 {
-			return filterUnmapped(s.tOut[tt], s.core2)
+			return s.unmapped(depth, s.tOut[tt])
 		}
 	}
 	for _, pp := range s.pOut[pi] {
 		if tt := s.core1[pp]; tt >= 0 {
-			return filterUnmapped(s.tIn[tt], s.core2)
+			return s.unmapped(depth, s.tIn[tt])
 		}
 	}
 	// No mapped neighbor (first vertex of a component): all unmapped
 	// target vertices.
-	out := make([]int32, 0, s.tn)
+	out := s.cands[depth][:0]
 	for ti := int32(0); ti < int32(s.tn); ti++ {
 		if s.core2[ti] < 0 {
 			out = append(out, ti)
 		}
 	}
+	s.cands[depth] = out
+	return out
+}
+
+// unmapped filters cands down to the still-unmapped target vertices, into
+// the depth's scratch buffer.
+func (s *state) unmapped(depth int, cands []int32) []int32 {
+	out := s.cands[depth][:0]
+	for _, c := range cands {
+		if s.core2[c] < 0 {
+			out = append(out, c)
+		}
+	}
+	s.cands[depth] = out
 	return out
 }
 
@@ -492,22 +572,29 @@ func connectivityOrder(n int, out, in [][]int32) []int32 {
 	return order
 }
 
-func filterUnmapped(cands []int32, core2 []int32) []int32 {
-	out := make([]int32, 0, len(cands))
-	for _, c := range cands {
-		if core2[c] < 0 {
-			out = append(out, c)
-		}
+// resize returns buf with length n, reallocating only when its capacity
+// falls short. Contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return out
+	return buf[:n]
 }
 
-func fill(n int, v int32) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = v
+// zeroed returns buf with length n and every element zero.
+func zeroed[T int32 | uint64](buf []T, n int) []T {
+	buf = resize(buf, n)
+	clear(buf)
+	return buf
+}
+
+// filled returns buf with length n and every element v.
+func filled(buf []int32, n int, v int32) []int32 {
+	buf = resize(buf, n)
+	for i := range buf {
+		buf[i] = v
 	}
-	return s
+	return buf
 }
 
 func contains(s []int32, v int32) bool {

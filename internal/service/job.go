@@ -79,9 +79,18 @@ func (j *Job) finishCached(val []byte) {
 	j.fromCache = true
 	j.started = j.Submitted
 	j.finished = time.Now()
+	j.releaseInputsLocked()
 	j.mu.Unlock()
 	j.cancel()
 	close(j.done)
+}
+
+// releaseInputsLocked drops the job's inputs once it is finished: it
+// answers from its encoded bytes alone, and a retained job must not pin
+// the ACG, the options, or the run closure that captures the whole
+// request (a simulate job's networks and traffic). The caller holds mu.
+func (j *Job) releaseInputsLocked() {
+	j.acg, j.opts, j.runFn = nil, repro.Options{}, nil
 }
 
 // attach records one more submitter coalescing onto the job. An

@@ -480,6 +480,7 @@ func (s *Service) finishJob(job *Job, res *repro.Result, enc []byte, err error) 
 	s.mu.Unlock()
 
 	job.mu.Lock()
+	job.releaseInputsLocked()
 	job.finished = time.Now()
 	switch {
 	case err == nil:

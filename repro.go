@@ -132,9 +132,9 @@ type Options struct {
 	DisableIsoCache bool
 	// IsoCacheEntries caps the match cache size (0 = default).
 	IsoCacheEntries int
-	// IsoCacheMinCost sets how expensive an enumeration must be for its
-	// result to be retained in the match cache (0 = the measured 1 ms
-	// default; negative retains everything).
+	// IsoCacheMinCost, when positive, retains in the match cache only the
+	// results whose enumeration took at least this long (0, the default,
+	// retains everything).
 	IsoCacheMinCost time.Duration
 	// MaxLatency constrains the decomposition's volume-weighted average
 	// hop latency (Decomposition.AvgHops) — the ε of the frontier

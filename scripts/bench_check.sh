@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # Perf-regression gate: compares the newest BENCH_trajectory.json entry
-# against the previous one and fails on a >25% ns/op regression in any
-# benchmark present in both. Benchmarks faster than 1µs/op are skipped —
+# against the most recent earlier entry recorded on the same host (equal
+# `host` blocks: CPU model, nproc, GOMAXPROCS, Go release) and fails on a
+# >25% ns/op regression in any benchmark present in both. Figures from
+# different hosts are not comparable, so when no earlier entry shares the
+# newest one's host the gate reports "no comparable entry" and passes.
+# Benchmark names are compared with the "-N" suffix `go test` appends at
+# GOMAXPROCS N > 1 stripped. Benchmarks faster than 1µs/op are skipped —
 # at that scale run-to-run timer noise exceeds any real signal the gate
 # could act on (the trajectory still records them for eyeballing).
 #
@@ -26,13 +31,31 @@ if len(entries) < 2:
     print(f"bench_check: {len(entries)} entries, nothing to compare")
     sys.exit(0)
 
-prev, cur = entries[-2], entries[-1]
+cur = entries[-1]
+host = cur.get("host")
+prev = None
+if host is not None:
+    prev = next((e for e in reversed(entries[:-1]) if e.get("host") == host), None)
+if prev is None:
+    print(f"bench_check: no comparable entry for {cur.get('label')!r} "
+          f"(no earlier entry recorded on host {host})")
+    sys.exit(0)
+
+def base_name(name, gomaxprocs):
+    # go test appends "-N" to every benchmark name when GOMAXPROCS is
+    # N > 1; at 1 it appends nothing, and a trailing "-N" is part of the
+    # name itself (e.g. a "workers-2" sub-benchmark).
+    suffix = f"-{gomaxprocs}"
+    if gomaxprocs > 1 and name.endswith(suffix):
+        return name[: -len(suffix)]
+    return name
 
 def flatten(entry):
+    procs = int(entry["host"].get("gomaxprocs", 1))
     out = {}
     for section in ("results", "kernel_results", "service_results"):
         for r in entry.get(section, []):
-            out[r["name"]] = float(r["ns_per_op"])
+            out[base_name(r["name"], procs)] = float(r["ns_per_op"])
     return out
 
 base, now = flatten(prev), flatten(cur)
