@@ -492,9 +492,9 @@ func BenchmarkCompileSparseBA10k(b *testing.B) {
 	b.ReportMetric(float64(ct.PairCount()), "pairs")
 }
 
-// busy1k holds the 1k-router network for the partitioned-step
-// benchmark at the smaller scale: the shared ba1k dense table on a
-// deep-buffered configuration (see busy10k for why).
+// busy1k holds the 1k-router network for the busy-step benchmark at the
+// smaller scale: the shared ba1k dense table on the same deep-buffered
+// configuration as busy10k.
 var busy1k struct {
 	once  sync.Once
 	net   *noc.Network
@@ -524,19 +524,15 @@ func busy1kFixture(b *testing.B) (*noc.Network, []noc.TrafficEvent) {
 	return busy1k.net, busy1k.trace
 }
 
-// BenchmarkStepBusy1k is BenchmarkStepBusy10k at 1000 routers: the
-// partition-count sweep where per-cycle work is ~10x smaller, so the
-// fixed per-cycle barrier cost weighs ~10x more. See BenchmarkStepBusy10k.
+// BenchmarkStepBusy1k is BenchmarkStepBusy10k at 1000 routers.
 func BenchmarkStepBusy1k(b *testing.B) {
 	net, trace := busy1kFixture(b)
 	benchStepBusy(b, net, trace)
 }
 
-// busy10k holds the 10k-router network used by the partitioned-step
-// benchmark: the ba10k topology under a landmark table (the only route
-// source that serves uniform traffic at this scale) with buffers deeper
-// than the router pipeline, so partitioned runs stay in the exact
-// serial-equivalence regime.
+// busy10k holds the 10k-router network used by the busy-step benchmark:
+// the ba10k topology under a landmark table (the only route source that
+// serves uniform traffic at this scale) with 16-flit buffers.
 var busy10k struct {
 	once  sync.Once
 	net   *noc.Network
@@ -577,44 +573,29 @@ func busy10kFixture(b *testing.B) (*noc.Network, []noc.TrafficEvent) {
 }
 
 // BenchmarkStepBusy10k times one busy 100-cycle uniform window (plus
-// drain) on the 10k-router scale-free network at kernel partition
-// counts 1, 2, 4 and 8 — the readout for the partitioned parallel
-// kernel. On a multi-core host the p4/p8 rows should beat p1; on a
-// single-core host they measure the pure partitioning overhead
-// (boundary staging + per-cycle goroutine barrier). The boundary-stalls
-// metric is the exactness certificate for the last iteration: zero
-// means the partitioned run was byte-equivalent to serial.
+// drain) on the 10k-router scale-free network: the serial kernel's
+// per-cycle cost at full scale.
 func BenchmarkStepBusy10k(b *testing.B) {
 	net, trace := busy10kFixture(b)
 	benchStepBusy(b, net, trace)
 }
 
+// benchStepBusy replays the window on a recycling network. The single
+// "p1" sub-benchmark keeps the name earlier trajectory entries recorded.
 func benchStepBusy(b *testing.B, net *noc.Network, trace []noc.TrafficEvent) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+	b.Run("p1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
 			net.Reset()
-			if err := net.SetPartitions(p); err != nil {
+			if err := net.Replay(trace, 100_000); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Reset()
-				if err := net.Replay(trace, 100_000); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(net.BoundaryCreditStalls()), "boundary-stalls")
-			if net.Stats().Delivered == 0 {
-				b.Fatal("no traffic delivered")
-			}
-		})
-	}
+		}
+		if net.Stats().Delivered == 0 {
+			b.Fatal("no traffic delivered")
+		}
+	})
 	net.Reset()
-	if err := net.SetPartitions(1); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkAblationBounding quantifies the Figure 3 lower-bound pruning:

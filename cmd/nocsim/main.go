@@ -80,7 +80,6 @@ func main() {
 
 	simBatch := flag.String("simbatch", "", "batch mode: run a bulk-simulate request file (noc.SimRequest JSON, the /v1/simulate body) locally, emit the canonical SimResponse JSON")
 	memStats := flag.Bool("memstats", false, "report the live heap after the run on stderr in batch and sweep modes (the CI gate for sparse-table memory)")
-	partitions := flag.Int("partitions", 0, "kernel partition count per simulated network (0/1 = serial); in -simbatch mode overrides every point's partitions field")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	sweep := flag.Bool("sweep", false, "run a saturation sweep across an injection-rate ladder, emit JSON")
@@ -129,7 +128,7 @@ func main() {
 	}
 
 	if *simBatch != "" {
-		runSimBatch(ctx, *simBatch, *parallel, *partitions, *out, *memStats)
+		runSimBatch(ctx, *simBatch, *parallel, *out, *memStats)
 		return
 	}
 
@@ -235,7 +234,6 @@ func main() {
 			Parallelism:   *parallel,
 			Faults:        fm,
 			Routing:       mode,
-			Partitions:    *partitions,
 		}
 		if *faultRates != "" {
 			runReliability(ctx, arch, newNet, scfg, *faultRates, *faultSeed, *out)
@@ -271,9 +269,6 @@ func main() {
 	}
 
 	check(net.SetRouting(mode))
-	if *partitions > 1 {
-		check(net.SetPartitions(*partitions))
-	}
 	if fm != nil {
 		check(net.ResetWithFaults(fm))
 	}
@@ -342,18 +337,13 @@ func main() {
 // engine — the same noc.RunSim call the /v1/simulate endpoint makes, so
 // the emitted bytes cmp-equal the service's response for the same
 // request at any -parallel setting.
-func runSimBatch(ctx context.Context, path string, parallel, partitions int, out string, memStats bool) {
+func runSimBatch(ctx context.Context, path string, parallel int, out string, memStats bool) {
 	data, err := os.ReadFile(path)
 	check(err)
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var req noc.SimRequest
 	check(dec.Decode(&req))
-	if partitions > 0 {
-		for i := range req.Points {
-			req.Points[i].Partitions = partitions
-		}
-	}
 	res, err := noc.RunSim(ctx, &req, parallel)
 	check(err)
 	if memStats {

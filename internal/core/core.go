@@ -236,8 +236,8 @@ type Options struct {
 	// Without the cache every enumerate call re-runs subgraph isomorphism
 	// from scratch.
 	DisableIsoCache bool
-	// IsoCacheEntries caps the match cache size. Zero means
-	// iso.DefaultCacheEntries.
+	// IsoCacheEntries caps the match cache size. Zero means the default
+	// of 1<<15 entries.
 	IsoCacheEntries int
 	// IsoCacheMinCost, when positive, retains in the match cache only the
 	// results whose enumeration took at least this long. Zero or negative

@@ -675,12 +675,11 @@ type matchKey struct {
 	sig  graphSig
 }
 
-// matchCache memoizes finished candidate lists across the DFS workers. It
-// is the solver-level counterpart of iso.Cache (which memoizes raw VF2
-// mapping sets): a hit here skips the isomorphism search *and* the match
-// costing pipeline behind it, and the retained values are at most
-// MatchLimit candidates each. Entries beyond the cap are computed and
-// returned but not retained. Safe for concurrent use.
+// matchCache memoizes finished candidate lists across the DFS workers. A
+// hit skips the isomorphism search *and* the match costing pipeline
+// behind it, and the retained values are at most MatchLimit candidates
+// each. Entries beyond the cap are computed and returned but not
+// retained. Safe for concurrent use.
 type matchCache struct {
 	mu      sync.RWMutex
 	entries map[matchKey][]candidate
@@ -689,9 +688,14 @@ type matchCache struct {
 	misses  atomic.Uint64
 }
 
+// defaultMatchCacheEntries bounds a match cache built with a zero cap.
+// Entries are small (at most MatchLimit candidates over graphs of tens of
+// vertices), so tens of thousands of them stay in the tens of megabytes.
+const defaultMatchCacheEntries = 1 << 15
+
 func newMatchCache(maxEntries int) *matchCache {
 	if maxEntries <= 0 {
-		maxEntries = iso.DefaultCacheEntries
+		maxEntries = defaultMatchCacheEntries
 	}
 	return &matchCache{entries: make(map[matchKey][]candidate), max: maxEntries}
 }

@@ -13,10 +13,10 @@ import (
 // so the hash is a content address for synthesis inputs — the result
 // cache of internal/service keys on it.
 //
-// The hash differs from iso.FrozenKey in two ways: it folds in the
-// annotations (decomposition cost depends on v(e) and b(e), so a result
-// cache must distinguish graphs that matching alone treats as equal), and
-// it is a fixed-width digest rather than a raw byte string, so it can be
+// Unlike a purely structural key, the hash folds in the annotations
+// (decomposition cost depends on v(e) and b(e), so a result cache must
+// distinguish graphs that matching alone treats as equal), and it is a
+// fixed-width digest rather than a raw byte string, so it can be
 // published as an external cache key without leaking graph structure.
 //
 // The encoding is versioned by the leading tag byte; bump it if the layout

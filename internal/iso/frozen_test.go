@@ -108,17 +108,3 @@ func TestFindAllFrozenOptionsParity(t *testing.T) {
 		}
 	}
 }
-
-// FrozenKey must be the same canonical byte string GraphKey produces.
-func TestFrozenKeyMatchesGraphKey(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		g := randomTarget(11, 0.25, 300+seed)
-		if FrozenKey(g.Freeze()) != GraphKey(g) {
-			t.Fatalf("seed %d: FrozenKey != GraphKey", seed)
-		}
-	}
-	empty := graph.New("e")
-	if FrozenKey(empty.Freeze()) != GraphKey(empty) {
-		t.Fatal("empty graph keys differ")
-	}
-}

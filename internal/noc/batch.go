@@ -14,6 +14,7 @@ package noc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -137,12 +138,6 @@ type BatchPoint struct {
 	Faults *FaultMap
 	// Routing selects the route-resolution mode (default oblivious).
 	Routing RoutingMode
-	// Partitions is the point's kernel partition count (0 or 1 =
-	// serial). Like SweepConfig.Partitions it divides the worker budget
-	// and, unlike Parallelism, is part of the simulated machine: a
-	// partitioned kernel returns boundary credits at the cycle barrier,
-	// so results at different counts may differ (deterministically).
-	Partitions int
 }
 
 // Batch runs many simulation points through the shared point fleet.
@@ -198,9 +193,6 @@ func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 			return nil, fmt.Errorf("noc: batch point %d windows warmup=%d measure=%d",
 				i, pt.WarmupCycles, pt.MeasureCycles)
 		}
-		if pt.Partitions < 0 {
-			return nil, fmt.Errorf("noc: batch point %d partition count %d", i, pt.Partitions)
-		}
 		batches := pt.Batches
 		if batches <= 0 {
 			batches = 10
@@ -221,7 +213,6 @@ func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 			satThreshold: thresh,
 			faults:       pt.Faults,
 			routing:      pt.Routing,
-			partitions:   pt.Partitions,
 		}
 	}
 	pool := b.Pool
@@ -425,11 +416,11 @@ type SimPoint struct {
 	Seed int64 `json:"seed"`
 	// Routing is "oblivious" (default) or "adaptive".
 	Routing string `json:"routing,omitempty"`
-	// Partitions is the point's kernel partition count (0 or 1 =
-	// serial). It is part of the request — and so of the content
-	// address — because a partitioned kernel is a different simulated
-	// machine, not a runtime knob: results at different counts may
-	// differ (deterministically for each fixed count).
+	// Partitions is kept for wire compatibility only: 0 (omitted) and 1
+	// both select the serial kernel, the only one there is, and any
+	// other value fails CheckPartitions. The field stays in the
+	// canonical encoding, so 0 and 1 keep their existing (distinct)
+	// content addresses.
 	Partitions int `json:"partitions,omitempty"`
 	// IncludeStats attaches the point's measurement-window Stats to the
 	// result, size-aware: per-element maps above the compact threshold
@@ -445,6 +436,21 @@ type SimRequest struct {
 	Archs  []SimArch  `json:"archs"`
 	Config *SimConfig `json:"config,omitempty"`
 	Points []SimPoint `json:"points"`
+}
+
+// ErrPartitions rejects a SimPoint.Partitions value other than 0 or 1.
+var ErrPartitions = errors.New("noc: partitions must be 0 or 1")
+
+// CheckPartitions returns an error wrapping ErrPartitions if any point
+// asks for a partition count other than 0 or 1. It is cheap, so callers
+// that queue requests run it before admitting them.
+func (r *SimRequest) CheckPartitions() error {
+	for i := range r.Points {
+		if p := r.Points[i].Partitions; p != 0 && p != 1 {
+			return fmt.Errorf("%w: sim point %d has %d", ErrPartitions, i, p)
+		}
+	}
+	return nil
 }
 
 // Canonical returns the deterministic encoding of the (decoded,
@@ -470,6 +476,9 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 	}
 	if len(req.Points) == 0 {
 		return nil, fmt.Errorf("noc: sim request has no points")
+	}
+	if err := req.CheckPartitions(); err != nil {
+		return nil, err
 	}
 	cfg := req.Config.resolve()
 	b := &Batch{Archs: make([]BatchArch, len(req.Archs)), Points: make([]BatchPoint, len(req.Points))}
@@ -503,9 +512,6 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 		if err := demand[sp.Arch].AddUnion(pat.Pairs()); err != nil {
 			return nil, fmt.Errorf("noc: sim point %d: %w", i, err)
 		}
-		if sp.Partitions < 0 {
-			return nil, fmt.Errorf("noc: sim point %d partition count %d", i, sp.Partitions)
-		}
 		b.Points[i] = BatchPoint{
 			Arch:          sp.Arch,
 			Pattern:       pat,
@@ -516,7 +522,6 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 			Batches:       sp.Batches,
 			Seed:          sp.Seed,
 			Routing:       mode,
-			Partitions:    sp.Partitions,
 		}
 	}
 	for i := range b.Archs {

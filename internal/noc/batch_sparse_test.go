@@ -3,6 +3,7 @@ package noc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -171,56 +172,24 @@ func TestBuildBatchUniformLargeViaLandmarks(t *testing.T) {
 	}
 }
 
-// TestBatchPointPartitions: the wire partitions field reaches the
-// kernel — a partitioned point equals its serial twin at a light load
-// with deep buffers (the exact-equivalence regime), a negative count is
-// rejected, and the field participates in the canonical encoding.
-func TestBatchPointPartitions(t *testing.T) {
-	mk := func(parts int) *SimRequest {
-		return &SimRequest{
-			Archs:  []SimArch{{Mesh: "6x6"}},
-			Config: &SimConfig{BufferFlits: 16},
+// TestBuildBatchRejectsPartitions: the serial kernel is the only one,
+// so a partitions field other than 0 or 1 fails the build with the
+// typed ErrPartitions before any architecture is compiled.
+func TestBuildBatchRejectsPartitions(t *testing.T) {
+	for _, parts := range []int{0, 1, 2, -1} {
+		req := &SimRequest{
+			Archs: []SimArch{{Mesh: "4x4"}},
 			Points: []SimPoint{{
 				Arch: 0, Pattern: "transpose", Bits: 64, Rate: 0.02,
-				WarmupCycles: 30, MeasureCycles: 100, Seed: 9,
-				IncludeStats: true, Partitions: parts,
+				WarmupCycles: 10, MeasureCycles: 20, Seed: 1, Partitions: parts,
 			}},
 		}
-	}
-	serial, err := RunSim(context.Background(), mk(0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parted, err := RunSim(context.Background(), mk(4), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s1, s2 strings.Builder
-	if err := serial.EncodeJSON(&s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := parted.EncodeJSON(&s2); err != nil {
-		t.Fatal(err)
-	}
-	if s1.String() != s2.String() {
-		t.Fatalf("partitioned point diverges from serial at light load:\n%s\nvs\n%s", s1.String(), s2.String())
-	}
-
-	bad := mk(0)
-	bad.Points[0].Partitions = -1
-	if _, err := BuildBatch(bad); err == nil || !strings.Contains(err.Error(), "partition") {
-		t.Fatalf("negative partitions accepted: %v", err)
-	}
-
-	c1, err := mk(0).Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := mk(4).Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(c1) == string(c2) {
-		t.Fatal("partitions field does not split the canonical encoding")
+		_, err := BuildBatch(req)
+		if accepted := parts == 0 || parts == 1; accepted != (err == nil) {
+			t.Fatalf("partitions %d: err %v", parts, err)
+		}
+		if err != nil && !errors.Is(err, ErrPartitions) {
+			t.Fatalf("partitions %d: %v does not wrap ErrPartitions", parts, err)
+		}
 	}
 }

@@ -201,13 +201,11 @@ func (n *Network) purgeFaulted() {
 			}
 		}
 	}
-	for _, wheel := range n.wheelSets() {
-		for _, bucket := range wheel {
-			for i := range bucket {
-				f := &bucket[i].f
-				if f.hop < minHop[f.pktIdx] {
-					minHop[f.pktIdx] = f.hop
-				}
+	for _, bucket := range n.wheel {
+		for i := range bucket {
+			f := &bucket[i].f
+			if f.hop < minHop[f.pktIdx] {
+				minHop[f.pktIdx] = f.hop
 			}
 		}
 	}
@@ -229,24 +227,22 @@ func (n *Network) purgeFaulted() {
 	}
 
 	// Source queues: drop dead packets, keep order.
-	for _, list := range n.srcActiveLists() {
-		keepSrc := (*list)[:0]
-		for _, i := range *list {
-			q := &n.srcQueue[i]
-			for k, m := 0, q.n; k < m; k++ {
-				p := q.pop()
-				if !drop[p.arenaIdx] {
-					q.push(p)
-				}
-			}
-			if q.n > 0 {
-				keepSrc = append(keepSrc, i)
-			} else {
-				n.srcMark[i] = false
+	keepSrc := n.srcActive[:0]
+	for _, i := range n.srcActive {
+		q := &n.srcQueue[i]
+		for k, m := 0, q.n; k < m; k++ {
+			p := q.pop()
+			if !drop[p.arenaIdx] {
+				q.push(p)
 			}
 		}
-		*list = keepSrc
+		if q.n > 0 {
+			keepSrc = append(keepSrc, i)
+		} else {
+			n.srcMark[i] = false
+		}
 	}
+	n.srcActive = keepSrc
 
 	// Input rings: filter dead flits preserving FIFO order, then rebuild
 	// the head mirrors and request counters from scratch.
@@ -287,22 +283,20 @@ func (n *Network) purgeFaulted() {
 		n.bufFlits[ri] = total
 	}
 
-	// Timing wheels: filter dead in-flight flits, zeroing vacated slots so
+	// Timing wheel: filter dead in-flight flits, zeroing vacated slots so
 	// no packet stays reachable through bucket backing arrays.
-	for _, wheel := range n.wheelSets() {
-		for b := range wheel {
-			bucket := wheel[b]
-			keep := bucket[:0]
-			for _, a := range bucket {
-				if !drop[a.f.pktIdx] {
-					keep = append(keep, a)
-				}
+	for b := range n.wheel {
+		bucket := n.wheel[b]
+		keep := bucket[:0]
+		for _, a := range bucket {
+			if !drop[a.f.pktIdx] {
+				keep = append(keep, a)
 			}
-			for k := len(keep); k < len(bucket); k++ {
-				bucket[k] = arrival{}
-			}
-			wheel[b] = keep
 		}
+		for k := len(keep); k < len(bucket); k++ {
+			bucket[k] = arrival{}
+		}
+		n.wheel[b] = keep
 	}
 
 	// Wormhole locks held by dead packets are released; surviving locks
@@ -326,28 +320,24 @@ func (n *Network) purgeFaulted() {
 			n.credits[up*V+vc] -= n.ringN[int32(gi)*V+vc]
 		}
 	}
-	for _, wheel := range n.wheelSets() {
-		for _, bucket := range wheel {
-			for _, a := range bucket {
-				if up := n.peer[a.port]; up >= 0 {
-					n.credits[up*V+int32(a.f.vc)]--
-				}
+	for _, bucket := range n.wheel {
+		for _, a := range bucket {
+			if up := n.peer[a.port]; up >= 0 {
+				n.credits[up*V+int32(a.f.vc)]--
 			}
 		}
 	}
 
-	// Activity worklists: routers drained by the purge retire.
-	for _, list := range n.activeLists() {
-		keep := (*list)[:0]
-		for _, i := range *list {
-			if n.bufFlits[i] > 0 {
-				keep = append(keep, i)
-			} else {
-				n.activeMark[i] = false
-			}
+	// Activity worklist: routers drained by the purge retire.
+	keep := n.active[:0]
+	for _, i := range n.active {
+		if n.bufFlits[i] > 0 {
+			keep = append(keep, i)
+		} else {
+			n.activeMark[i] = false
 		}
-		*list = keep
 	}
+	n.active = keep
 
 	// Release the dead packets' arena slots, in ascending slot order for
 	// deterministic reuse.

@@ -28,11 +28,9 @@ func auditNetwork(t testing.TB, n *Network, when string) {
 	// In-flight flits per (global input port, vc), from the wheel.
 	type flight struct{ port, vc int32 }
 	inflight := make(map[flight]int)
-	for _, wheel := range n.wheelSets() {
-		for _, bucket := range wheel {
-			for _, a := range bucket {
-				inflight[flight{a.port, int32(a.f.vc)}]++
-			}
+	for _, bucket := range n.wheel {
+		for _, a := range bucket {
+			inflight[flight{a.port, int32(a.f.vc)}]++
 		}
 	}
 	for i := int32(0); i < int32(n.frz.NodeCount()); i++ {

@@ -344,28 +344,6 @@ type Network struct {
 	adapt      *adaptiveState
 	adaptDirty bool
 
-	// Partitioned-execution state (see parallel.go). nParts <= 1 selects
-	// the serial kernel, which never reads any of these. At nParts > 1
-	// routers split into contiguous index ranges, each advanced by its own
-	// worker per cycle; cross-partition flits and credits travel through
-	// the writer-owned staging rows and merge at the cycle barrier.
-	nParts     int
-	partLo     []int32       // per partition: first router index; len nParts+1
-	partOf     []int32       // per router: owning partition
-	portPart   []int32       // per global port: owning partition
-	wheelP     [][][]arrival // per partition: private timing wheel (same bucket count as wheel)
-	activeP    [][]int32     // per partition: active-router worklist
-	srcActiveP [][]int32     // per partition: active-source worklist
-	candP      [][]int32     // per partition: arbitration candidate scratch
-	stagedArr  [][]arrival   // [src*nParts+dst]: cross-partition link sends this cycle
-	stagedCred [][]int32     // [src*nParts+dst]: cross-partition credit-return lanes this cycle
-	stagedEj   [][]int32     // per partition: tail-ejected arena slots, router-ascending
-	// boundaryStalls counts barrier-merged forward credits (returned to a
-	// higher partition) that found their lane empty — the only mechanism
-	// by which a partitioned schedule can diverge from the serial one.
-	// Zero stalls certify the run's stats equal the serial kernel's.
-	boundaryStalls int64
-
 	stats    Stats
 	swTrav   []int64 // switch traversals per router index
 	linkTrav []int64 // flit traversals per frozen directed edge id
@@ -685,9 +663,6 @@ func (n *Network) Reset() {
 		n.srcMark[i] = false
 	}
 	n.srcActive = n.srcActive[:0]
-	if n.nParts > 1 {
-		n.resetPartitions()
-	}
 }
 
 // SetPacketRecycling toggles the packet arena's freelist: when on,
@@ -879,12 +854,7 @@ func (n *Network) enqueue(p *Packet, src, dst graph.NodeID, bits int, tag string
 	n.srcQueue[srcIdx].push(p)
 	if !n.srcMark[srcIdx] {
 		n.srcMark[srcIdx] = true
-		if n.nParts > 1 {
-			p := n.partOf[srcIdx]
-			n.srcActiveP[p] = append(n.srcActiveP[p], srcIdx)
-		} else {
-			n.srcActive = append(n.srcActive, srcIdx)
-		}
+		n.srcActive = append(n.srcActive, srcIdx)
 	}
 	n.pending++
 	n.stats.Injected++
@@ -907,14 +877,8 @@ func (n *Network) InputOccupancy(node graph.NodeID) int {
 
 // Step advances the simulation by one cycle. Scheduled faults due this
 // cycle strike first — before link arrivals land — so a flit cannot use
-// an element in the cycle its failure takes effect. With SetPartitions
-// above one, the cycle runs on the partitioned kernel (parallel.go);
-// the serial path below is otherwise untouched.
+// an element in the cycle its failure takes effect.
 func (n *Network) Step() {
-	if n.nParts > 1 {
-		n.stepParallel()
-		return
-	}
 	n.cycle++
 	if n.faultIdx < len(n.faultQueue) && n.faultQueue[n.faultIdx].Cycle <= n.cycle {
 		n.fireFaults()
@@ -939,19 +903,11 @@ func (n *Network) RunUntilDrained(maxCycles int64) bool {
 	return n.pending == 0
 }
 
-// markActive flags a router as holding buffered flits. In partitioned
-// mode the worklist entry goes to the owning partition's private list;
-// only that partition's worker (or the barrier-holding main goroutine)
-// ever marks its routers, so the shared mark array stays race-free.
+// markActive flags a router as holding buffered flits.
 func (n *Network) markActive(i int32) {
 	if !n.activeMark[i] {
 		n.activeMark[i] = true
-		if n.nParts > 1 {
-			p := n.partOf[i]
-			n.activeP[p] = append(n.activeP[p], i)
-		} else {
-			n.active = append(n.active, i)
-		}
+		n.active = append(n.active, i)
 	}
 }
 

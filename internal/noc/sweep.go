@@ -63,15 +63,6 @@ type SweepConfig struct {
 	// golden-pinned path). Adaptive mode requires the networks to be
 	// built with >= 2 virtual channels.
 	Routing RoutingMode
-	// Partitions is the per-point kernel partition count (0 or 1 =
-	// serial). Each rate point's network steps its router partitions on
-	// that many goroutines, so the worker budget is divided by it: with
-	// Parallelism 8 and Partitions 4, two points run concurrently. At a
-	// fixed count the results are deterministic, but a partitioned
-	// kernel is a different simulated machine than the serial one
-	// (boundary credits return at the cycle barrier — see SetPartitions),
-	// so changing Partitions may change the measured bytes.
-	Partitions int
 }
 
 // RatePoint is the measurement at one offered load.
@@ -166,9 +157,6 @@ func (c *SweepConfig) validate() error {
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("noc: sweep windows warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
 	}
-	if c.Partitions < 0 {
-		return fmt.Errorf("noc: sweep partition count %d", c.Partitions)
-	}
 	return nil
 }
 
@@ -200,7 +188,6 @@ type pointSpec struct {
 	satThreshold float64
 	faults       *FaultMap
 	routing      RoutingMode
-	partitions   int
 }
 
 // runPoints drives the shared point fleet: workers claim spec indices
@@ -217,21 +204,6 @@ func runPoints(ctx context.Context, parallelism int, specs []pointSpec,
 	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	// Partitioned points spawn their own per-cycle goroutines; points and
-	// partitions share one budget, so the point fleet shrinks by the
-	// widest partition count in the batch.
-	maxPart := 1
-	for i := range specs {
-		if specs[i].partitions > maxPart {
-			maxPart = specs[i].partitions
-		}
-	}
-	if maxPart > 1 {
-		workers /= maxPart
-		if workers < 1 {
-			workers = 1
-		}
 	}
 	if workers > len(specs) {
 		workers = len(specs)
@@ -276,17 +248,6 @@ func runPoints(ctx context.Context, parallelism int, specs []pointSpec,
 					}
 				} else {
 					net.Reset()
-				}
-				// Partitioning is sticky like the routing mode: assert the
-				// point's count even when it is 1, or a pooled network could
-				// carry a previous point's partitioned kernel into this one.
-				parts := sp.partitions
-				if parts < 1 {
-					parts = 1
-				}
-				if errs[i] = net.SetPartitions(parts); errs[i] != nil {
-					put(i, net)
-					continue
 				}
 				points[i], scratch, errs[i] = simPoint(ctx, net, sp, scratch)
 				put(i, net)
@@ -333,7 +294,6 @@ func Sweep(ctx context.Context, newNet func() (*Network, error), cfg SweepConfig
 			satThreshold: cfg.SaturationThreshold,
 			faults:       cfg.Faults,
 			routing:      cfg.Routing,
-			partitions:   cfg.Partitions,
 		}
 	}
 	points, err := runPoints(ctx, cfg.Parallelism, specs, func() (func(int) (*Network, error), func(int, *Network)) {

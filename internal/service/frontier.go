@@ -110,18 +110,23 @@ func FrontierKey(req *FrontierRequest, lib *primitives.Library) (string, error) 
 // points accumulate on the job's stream buffer (Job.StreamSince) in the
 // same byte form.
 func (s *Service) SubmitFrontier(req *FrontierRequest) (*Job, string, error) {
+	a, err := s.submitFrontier(req)
+	return a.job, a.path, err
+}
+
+func (s *Service) submitFrontier(req *FrontierRequest) (admission, error) {
 	if req == nil || req.Graph == nil || req.Graph.NodeCount() == 0 {
-		return nil, "", fmt.Errorf("service: empty frontier graph")
+		return admission{}, fmt.Errorf("service: empty frontier graph")
 	}
 	if req.Points < 0 || req.Points > MaxFrontierPoints {
-		return nil, "", fmt.Errorf("service: frontier points %d out of range [0, %d]", req.Points, MaxFrontierPoints)
+		return admission{}, fmt.Errorf("service: frontier points %d out of range [0, %d]", req.Points, MaxFrontierPoints)
 	}
 	opts, err := req.Options.ToOptions()
 	if err != nil {
-		return nil, "", err
+		return admission{}, err
 	}
 	if opts.MaxLatency != 0 {
-		return nil, "", fmt.Errorf("service: frontier request cannot set MaxLatency")
+		return admission{}, fmt.Errorf("service: frontier request cannot set MaxLatency")
 	}
 	opts.Library = s.lib
 	timeout := opts.Timeout
@@ -137,7 +142,7 @@ func (s *Service) SubmitFrontier(req *FrontierRequest) (*Job, string, error) {
 
 	key, err := FrontierKey(req, s.lib)
 	if err != nil {
-		return nil, "", err
+		return admission{}, err
 	}
 	s.Metrics.jobSubmitted(JobKindFrontier)
 	acg, points, validate := req.Graph, req.Points, req.Validate

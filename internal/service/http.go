@@ -198,8 +198,8 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	wait := r.URL.Query().Get("wait") != ""
 
-	job, path, err := s.Submit(Request{ACG: req.Graph, Options: opts, Wait: wait})
-	s.respondSubmitted(w, r, job, path, wait, err)
+	a, err := s.submit(Request{ACG: req.Graph, Options: opts, Wait: wait})
+	s.respondSubmitted(w, r, a, wait, err)
 }
 
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -212,8 +212,8 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	wait := r.URL.Query().Get("wait") != ""
 
-	job, path, err := s.SubmitSimulate(SimulateRequest{Sim: &req, Wait: wait})
-	s.respondSubmitted(w, r, job, path, wait, err)
+	a, err := s.submitSimulate(SimulateRequest{Sim: &req, Wait: wait})
+	s.respondSubmitted(w, r, a, wait, err)
 }
 
 func (s *Service) handleFrontier(w http.ResponseWriter, r *http.Request) {
@@ -229,31 +229,11 @@ func (s *Service) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Wait = r.URL.Query().Get("wait") != ""
 
-	job, path, err := s.SubmitFrontier(req)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, ErrStore):
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
+	a, err := s.submitFrontier(req)
+	if writeAdmission(w, a, req.Wait, err) {
 		return
 	}
-
-	w.Header().Set("X-Nocserve-Job", job.ID)
-	w.Header().Set("X-Nocserve-Key", job.Key)
-	w.Header().Set("X-Nocserve-Path", path)
-
-	if !req.Wait {
-		code := http.StatusAccepted
-		if job.State() == StateDone {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, SubmitResponse{JobID: job.ID, Key: job.Key, State: job.State(), Path: path})
-		return
-	}
+	job := a.job
 
 	// Attended frontier submission: stream the NDJSON document. Points
 	// appear on the job's stream buffer the moment the sweep proves them
@@ -304,37 +284,50 @@ func (s *Service) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// respondSubmitted finishes a submission handler: map submission errors,
-// answer async submissions with the job handle, and block attended ones
-// until the job's canonical result bytes are ready.
-func (s *Service) respondSubmitted(w http.ResponseWriter, r *http.Request, job *Job, path string, wait bool, err error) {
+// writeAdmission starts the reply to a submission: it maps submission
+// errors to status codes, sets the job headers, and answers an async
+// submission with the job handle. The handle reports the state captured
+// at admission, so State and Path always agree. It returns true when
+// the reply is complete; an attended submission still needs its body.
+func writeAdmission(w http.ResponseWriter, a admission, wait bool, err error) bool {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
+		return true
 	case errors.Is(err, ErrStore):
 		httpError(w, http.StatusInternalServerError, err.Error())
-		return
+		return true
 	case err != nil:
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return true
 	}
 
-	w.Header().Set("X-Nocserve-Job", job.ID)
-	w.Header().Set("X-Nocserve-Key", job.Key)
-	w.Header().Set("X-Nocserve-Path", path)
+	w.Header().Set("X-Nocserve-Job", a.job.ID)
+	w.Header().Set("X-Nocserve-Key", a.job.Key)
+	w.Header().Set("X-Nocserve-Path", a.path)
 
-	if !wait {
-		code := http.StatusAccepted
-		if job.State() == StateDone {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, SubmitResponse{JobID: job.ID, Key: job.Key, State: job.State(), Path: path})
+	if wait {
+		return false
+	}
+	code := http.StatusAccepted
+	if a.state == StateDone {
+		code = http.StatusOK
+	}
+	writeJSON(w, code, SubmitResponse{JobID: a.job.ID, Key: a.job.Key, State: a.state, Path: a.path})
+	return true
+}
+
+// respondSubmitted finishes a submission handler: the admission reply
+// (see writeAdmission), then, for an attended submission, a block until
+// the job's canonical result bytes are ready.
+func (s *Service) respondSubmitted(w http.ResponseWriter, r *http.Request, a admission, wait bool, err error) {
+	if writeAdmission(w, a, wait, err) {
 		return
 	}
 
 	// Attended submission: block until the job finishes, canceling our
 	// stake if the client goes away first.
+	job := a.job
 	if err := job.Wait(r.Context()); err != nil {
 		job.Release()
 		// The client is gone; this write is best-effort.

@@ -93,10 +93,11 @@ func (j *Job) releaseInputsLocked() {
 	j.acg, j.opts, j.runFn = nil, repro.Options{}, nil
 }
 
-// attach records one more submitter coalescing onto the job. An
-// unattended (async) submitter pins the job: it must run to completion
-// even if every waiting client disconnects.
-func (j *Job) attach(wait bool) {
+// attach records one more submitter coalescing onto the job and returns
+// the job's state at that moment. An unattended (async) submitter pins
+// the job: it must run to completion even if every waiting client
+// disconnects.
+func (j *Job) attach(wait bool) State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if wait {
@@ -104,6 +105,7 @@ func (j *Job) attach(wait bool) {
 	} else {
 		j.detached = true
 	}
+	return j.state
 }
 
 // Release drops one attending waiter (the HTTP layer calls it when a

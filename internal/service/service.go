@@ -262,8 +262,13 @@ func CacheKey(acg *graph.Graph, opts repro.Options, lib *primitives.Library) str
 // The second return distinguishes those paths for logging and tests:
 // "cache", "coalesced" or "queued".
 func (s *Service) Submit(req Request) (*Job, string, error) {
+	a, err := s.submit(req)
+	return a.job, a.path, err
+}
+
+func (s *Service) submit(req Request) (admission, error) {
 	if req.ACG == nil || req.ACG.NodeCount() == 0 {
-		return nil, "", fmt.Errorf("service: empty ACG")
+		return admission{}, fmt.Errorf("service: empty ACG")
 	}
 	opts := req.Options
 	opts.Library = s.lib
@@ -283,16 +288,27 @@ func (s *Service) Submit(req Request) (*Job, string, error) {
 	})
 }
 
+// admission is one submitter's view of its job: the job, how the
+// submission was satisfied ("cache", "coalesced" or "queued") and the
+// job's state at that moment. The state is taken under s.mu together
+// with the path, so a worker that starts the job before the submitter
+// replies cannot make the reply contradict its path.
+type admission struct {
+	job   *Job
+	path  string
+	state State
+}
+
 // submitKeyed is the submission core shared by every job kind: coalesce
 // onto an in-flight job for the key, serve from the result cache, or
 // register and enqueue the job build() constructs (build runs with s.mu
 // held and must register via newJobLocked). kind labels the metrics.
-func (s *Service) submitKeyed(key string, wait bool, kind string, build func() *Job) (*Job, string, error) {
+func (s *Service) submitKeyed(key string, wait bool, kind string, build func() *Job) (admission, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.Metrics.jobRejected(kind)
-		return nil, "", ErrDraining
+		return admission{}, ErrDraining
 	}
 	// Coalesce before consulting the store: a running job means the store
 	// has no value yet. Completion writes the store *before* removing the
@@ -300,18 +316,17 @@ func (s *Service) submitKeyed(key string, wait bool, kind string, build func() *
 	// one of them and a duplicate solve cannot slip through the gap.
 	if job := s.inflight[key]; job != nil {
 		s.Metrics.jobCoalesced(kind)
-		job.attach(wait)
-		return job, "coalesced", nil
+		return admission{job, "coalesced", job.attach(wait)}, nil
 	}
 	if val, ok, err := s.store.Get(key); err != nil {
 		s.Metrics.StoreErrors.Add(1)
-		return nil, "", fmt.Errorf("%w: cache read: %v", ErrStore, err)
+		return admission{}, fmt.Errorf("%w: cache read: %v", ErrStore, err)
 	} else if ok {
 		s.Metrics.cacheHit(kind)
 		s.Metrics.jobDone(kind)
 		job := build()
 		job.finishCached(val)
-		return job, "cache", nil
+		return admission{job, "cache", StateDone}, nil
 	}
 	job := build()
 	select {
@@ -324,12 +339,12 @@ func (s *Service) submitKeyed(key string, wait bool, kind string, build func() *
 		s.jobOrder = s.jobOrder[:len(s.jobOrder)-1]
 		job.cancel()
 		s.Metrics.jobRejected(kind)
-		return nil, "", ErrQueueFull
+		return admission{}, ErrQueueFull
 	}
 	s.Metrics.cacheMiss(kind)
 	s.inflight[key] = job
 	s.Metrics.jobQueuedDelta(kind, 1)
-	return job, "queued", nil
+	return admission{job, "queued", StateQueued}, nil
 }
 
 // newJobLocked registers a fresh job shell; the caller holds s.mu and

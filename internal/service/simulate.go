@@ -39,10 +39,10 @@ type SimulateRequest struct {
 // disjoint from synthesis keys. Parallelism and timeout are not part of
 // the request — the batch answer is byte-identical at every worker
 // count, and truncated runs are never cached — so they cannot split the
-// address. A point's kernel partition count IS part of the request (and
-// so of the address): unlike parallelism it selects a different
-// simulated machine — boundary credits return at the cycle barrier —
-// so its results may differ and must not collide.
+// address. A point's partitions field is kept for wire compatibility:
+// only 0 and 1 are accepted (noc.SimRequest.CheckPartitions), and the
+// field stays in the canonical encoding so that cached results under
+// either value remain addressable.
 func SimulateKey(req *noc.SimRequest) (string, error) {
 	enc, err := req.Canonical()
 	if err != nil {
@@ -59,8 +59,16 @@ func SimulateKey(req *noc.SimRequest) (string, error) {
 // shared on coalescing, freshly queued otherwise. A Done job's Encoded
 // bytes are the canonical noc.SimResponse JSON.
 func (s *Service) SubmitSimulate(req SimulateRequest) (*Job, string, error) {
+	a, err := s.submitSimulate(req)
+	return a.job, a.path, err
+}
+
+func (s *Service) submitSimulate(req SimulateRequest) (admission, error) {
 	if req.Sim == nil || len(req.Sim.Points) == 0 {
-		return nil, "", fmt.Errorf("service: simulate request has no points")
+		return admission{}, fmt.Errorf("service: simulate request has no points")
+	}
+	if err := req.Sim.CheckPartitions(); err != nil {
+		return admission{}, err
 	}
 	timeout := req.Timeout
 	if timeout <= 0 {
@@ -71,7 +79,7 @@ func (s *Service) SubmitSimulate(req SimulateRequest) (*Job, string, error) {
 	}
 	key, err := SimulateKey(req.Sim)
 	if err != nil {
-		return nil, "", err
+		return admission{}, err
 	}
 	s.Metrics.jobSubmitted(JobKindSimulate)
 	sim := req.Sim

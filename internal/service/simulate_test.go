@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -145,7 +146,8 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
-	// Request-shape errors reject at submit with 400. Deeper build errors
+	// Request-shape errors (partitions other than 0 or 1 included)
+	// reject at submit with 400. Deeper build errors
 	// (an unknown pattern) only surface when the worker builds the batch,
 	// so they fail the job — the wait path reports that as 500 with the
 	// build error, matching how a failed solve is reported.
@@ -158,6 +160,10 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 		"no points":     {`{"archs":[{"mesh":"4x4"}],"points":[]}`, http.StatusBadRequest},
 		"bad pattern": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"zigzag","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1}]}`,
 			http.StatusInternalServerError},
+		"partitions 2": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1,"partitions":2}]}`,
+			http.StatusBadRequest},
+		"partitions -1": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1,"partitions":-1}]}`,
+			http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/simulate?wait=1", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
@@ -168,5 +174,64 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d: %s", name, resp.StatusCode, tc.want, data)
 		}
+	}
+}
+
+// TestSimulatePartitionsContentAddress pins the partitions wire field:
+// 0 (omitted) and 1 both run the serial kernel and answer
+// byte-identically, each has a fixed content address (so results cached
+// under either stay addressable), and any other value is rejected with
+// noc.ErrPartitions before a job is queued.
+func TestSimulatePartitionsContentAddress(t *testing.T) {
+	mk := func(parts int) *noc.SimRequest {
+		return &noc.SimRequest{
+			Archs:  []noc.SimArch{{Mesh: "6x6"}},
+			Config: &noc.SimConfig{BufferFlits: 16},
+			Points: []noc.SimPoint{{
+				Arch: 0, Pattern: "transpose", Bits: 64, Rate: 0.02,
+				WarmupCycles: 30, MeasureCycles: 100, Seed: 9,
+				IncludeStats: true, Partitions: parts,
+			}},
+		}
+	}
+	wantKey := map[int]string{
+		0: "42ad4bc7e965f3a772fc4be67b728ff774d9f4d25a54376da75670a2eed99ade",
+		1: "06d818f52b13504eadbd984b91feab494d96f4f40fbebdb8510dc4300db9b41c",
+	}
+	var encoded [2]string
+	for parts, want := range wantKey {
+		key, err := SimulateKey(mk(parts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != want {
+			t.Errorf("partitions %d: key %s, want %s", parts, key, want)
+		}
+		res, err := noc.RunSim(context.Background(), mk(parts), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		encoded[parts] = buf.String()
+	}
+	if encoded[0] != encoded[1] {
+		t.Fatalf("partitions 0 and 1 answer differently:\n%s\nvs\n%s", encoded[0], encoded[1])
+	}
+
+	s := newStubService(t, Config{Workers: 1})
+	for _, parts := range []int{2, -1} {
+		if _, err := noc.RunSim(context.Background(), mk(parts), 1); !errors.Is(err, noc.ErrPartitions) {
+			t.Errorf("RunSim partitions %d: %v", parts, err)
+		}
+		job, _, err := s.SubmitSimulate(SimulateRequest{Sim: mk(parts)})
+		if !errors.Is(err, noc.ErrPartitions) || job != nil {
+			t.Errorf("SubmitSimulate partitions %d: job %v, err %v", parts, job, err)
+		}
+	}
+	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {
+		t.Errorf("%d rejected submissions were admitted", n)
 	}
 }

@@ -31,8 +31,8 @@ raw=$(go test -run '^$' \
 # path, a warm Reset rate point, a pooled 1k-router batch sweep point,
 # the 10k-router demand-driven routing compile, the dense Build -> VC
 # assignment -> compile pipeline at 256 and 1000 routers, and busy
-# 1k/10k-router uniform windows (landmark routes at 10k) at kernel
-# partition counts 1/2/4/8.
+# 1k/10k-router uniform windows (landmark routes at 10k) on the serial
+# kernel.
 # These run at a fixed longer benchtime — the per-op cost of the short
 # ones is nanoseconds, so 5 iterations would measure noise.
 raw_kernel=$(go test -run '^$' \

@@ -116,32 +116,6 @@ if [ "$heap" -ge 1073741824 ]; then
     exit 1
 fi
 
-echo "== partitioned kernel byte-identity =="
-# The same light-load request through the serial kernel and the 4-way
-# partitioned one must produce identical bytes: with buffers deeper than
-# the router pipeline (bufferFlits 16 vs the 3-cycle wheel) and a light
-# rate, no credit ever waits on the cycle barrier, so the partitioned
-# machine is exactly the serial one. -partitions overrides every point.
-cat > "$work/requestpart.json" <<'EOF'
-{
-  "archs": [
-    {"name": "mesh6x6", "mesh": "6x6"}
-  ],
-  "config": {"bufferFlits": 16},
-  "points": [
-    {"arch": 0, "pattern": "transpose", "bits": 64, "rate": 0.02, "warmupCycles": 100, "measureCycles": 400, "seed": 21, "includeStats": true},
-    {"arch": 0, "pattern": "uniform", "bits": 128, "rate": 0.01, "warmupCycles": 100, "measureCycles": 400, "seed": 22}
-  ]
-}
-EOF
-"$work/nocsim" -simbatch "$work/requestpart.json" -parallel 1 -partitions 1 -out "$work/part1.json" 2>/dev/null
-"$work/nocsim" -simbatch "$work/requestpart.json" -parallel 1 -partitions 4 -out "$work/part4.json" 2>/dev/null
-if ! cmp -s "$work/part1.json" "$work/part4.json"; then
-    echo "smoke_batch: partitioned (-partitions 4) batch differs from serial at light load" >&2
-    diff "$work/part1.json" "$work/part4.json" >&2 || true
-    exit 1
-fi
-
 echo "== start daemon =="
 "$work/nocserve" -addr "127.0.0.1:${port}" -cache-dir "$work/cache" \
     -drain-timeout 60s >"$work/nocserve.log" 2>&1 &
