@@ -754,7 +754,8 @@ func BenchmarkExtensionRoutingStrategies(b *testing.B) {
 // worker-pool search on the Figure 4a TGFF sweep — one iteration solves
 // the whole 6..18-node range back to back. Results are identical at every
 // worker count; on a multi-core host the parallel rows should be faster,
-// and they must never be slower than serial beyond noise.
+// and they must never be slower than serial beyond noise. A GOMAXPROCS
+// row joins the 1- and 2-worker rows only when it differs from both.
 func BenchmarkSolverParallelism(b *testing.B) {
 	var acgs []*graph.Graph
 	for _, n := range []int{6, 10, 14, 18} {
@@ -764,12 +765,12 @@ func BenchmarkSolverParallelism(b *testing.B) {
 		}
 		acgs = append(acgs, acg)
 	}
-	for _, par := range []int{1, 2, 0} {
-		name := fmt.Sprintf("workers-%d", par)
-		if par == 0 {
-			name = fmt.Sprintf("workers-%d", runtime.GOMAXPROCS(0))
-		}
-		b.Run(name, func(b *testing.B) {
+	pars := []int{1, 2}
+	if procs := runtime.GOMAXPROCS(0); procs > 2 {
+		pars = append(pars, procs)
+	}
+	for _, par := range pars {
+		b.Run(fmt.Sprintf("workers-%d", par), func(b *testing.B) {
 			opts := core.Options{Mode: core.CostLinks, Timeout: 30 * time.Second, Parallelism: par}
 			for i := 0; i < b.N; i++ {
 				for _, acg := range acgs {

@@ -683,7 +683,7 @@ var batchSweepRates = []float64{0.02, 0.06, 0.12, 0.25}
 func sweepArchitecture(ctx context.Context, arch *topology.Architecture, table routing.Table, vcs routing.VCAssignment, patterns []string, seed int64) []archSweep {
 	// Build the patterns first so their union demand bounds how much of
 	// the table gets compiled; synthesized architectures are small, so
-	// this usually degenerates to the dense all-pairs compile, but the
+	// this usually degenerates to the complete all-pairs compile, but the
 	// demand plumbing keeps the path identical to the batch engine's.
 	out := make([]archSweep, len(patterns))
 	pats := make([]*noc.Pattern, len(patterns))

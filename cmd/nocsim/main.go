@@ -193,7 +193,7 @@ func main() {
 
 	// The pattern's demand set bounds which route plans the compiled
 	// table needs ahead of time; a replayed trace may address any pair,
-	// so it keeps the dense all-pairs compile (demand nil).
+	// so it keeps the complete all-pairs compile (demand nil).
 	var demand *repro.PairSet
 	if *traceIn == "" {
 		demand = pat.Pairs()
@@ -431,7 +431,7 @@ func rateLadder(spec string, min, max float64, steps int) ([]float64, error) {
 // reportMemStats prints two figures on stderr: the post-GC live heap
 // (what survives the run) and Sys, the high-water mark of memory
 // claimed from the OS — the resident-footprint number the 10k-router
-// smoke gates below 1 GB. A dense all-pairs table at that scale would
+// smoke gates below 1 GB. A complete all-pairs table at that scale would
 // have pushed Sys past 12 GB before the first cycle.
 func reportMemStats(phase string) {
 	runtime.GC()

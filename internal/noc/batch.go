@@ -235,20 +235,21 @@ func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 }
 
 // maxSimNodes bounds wire-requested topologies. Architectures up to
-// maxDenseSimNodes compile the classic dense all-pairs table; larger
-// ones require every point's pattern to declare a sparse demand set
-// (anything but uniform), which is what makes 10k-router batches
-// feasible at megabytes instead of the ~12 GB a dense 10k table needs.
+// maxDenseSimNodes compile the classic complete all-pairs table; larger
+// ones compile only the declared demand of their points' patterns (or
+// none, under landmark routing, for uniform demand), which is what
+// makes 10k-router batches feasible at megabytes instead of the ~12 GB
+// a complete 10k table needs.
 const maxSimNodes = 16384
 
 // maxDenseSimNodes is the node count up to which BuildBatch always
-// compiles the dense all-pairs table via the full Build pipeline.
-// Below it, dense compilation is cheap, serves any demand with zero
-// plan misses, and — crucially — preserves the exact historical route
-// bytes the golden fixtures pin. Above it, the dense table (O(n²)
-// spans) and the O(n²) next-hop map are both off the table, so routes
-// come from per-root shortest-path trees (routing.SparseRouter) over
-// the unioned demand.
+// routes with the dense next-hop Table of the full Build pipeline and
+// compiles every ordered pair. Below it, that is cheap, serves any
+// demand with zero plan misses, and — crucially — preserves the exact
+// historical route bytes the golden fixtures pin. Above it, the
+// complete table (O(n²) plans) and the O(n²) next-hop map are both off
+// the table, so routes come from per-root shortest-path trees
+// (routing.SparseRouter) over the unioned demand.
 const maxDenseSimNodes = 2048
 
 // SimConfig is the wire form of the hardware Config; zero fields take
@@ -464,9 +465,9 @@ func (r *SimRequest) Canonical() ([]byte, error) { return json.Marshal(r) }
 // The compilation is the expensive part of a simulate call and is paid
 // once per architecture here, never per point — and it is demand
 // driven: patterns are built first, their Pairs() demand sets are
-// unioned per architecture, and each table is compiled dense (small
-// architectures, or all-pairs demand) or sparse (large architectures
-// with declared demand; see maxDenseSimNodes) accordingly. The network
+// unioned per architecture, and each table is compiled complete (small
+// architectures) or over the union alone (large architectures; see
+// compileBatchTable). The network
 // pool keys on CompiledTable.Fingerprint, which covers the compiled
 // pair set, so tables over different demand unions never share pooled
 // simulator state.
@@ -534,60 +535,58 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 	return b, nil
 }
 
-// compileBatchTable picks the compile strategy for one architecture of
-// a batch. Up to maxDenseSimNodes it is the classic dense pipeline
-// (Build, all-pairs AssignVirtualChannels, CompileTable) regardless of
-// demand — cheap, miss-free and byte-identical to every fixture ever
-// recorded. Above that, a declared sparse demand compiles exactly its
-// pairs from per-root shortest-path trees, while all-pairs (uniform)
-// demand — whose dense table would be the ~12 GB this path exists to
-// avoid — routes through landmark trees instead: O(L·n) state, every
-// plan resolved at simulation time through the table's bounded lazy
-// compile cache (visible as Stats.PlanMisses).
+// compileBatchTable picks the route source for one architecture of a
+// batch and compiles its demand. Up to maxDenseSimNodes it is the
+// classic pipeline (Build, all-pairs AssignVirtualChannels) compiled
+// over every ordered pair regardless of demand — cheap, miss-free and
+// byte-identical to every fixture ever recorded. Above that, a declared
+// sparse demand compiles exactly its pairs from per-root shortest-path
+// trees, while all-pairs (uniform) demand — whose complete table would
+// be the ~12 GB this path exists to avoid — routes through landmark
+// trees instead: O(L·n) state, every plan resolved at simulation time
+// through the table's bounded lazy compile cache (visible as
+// Stats.PlanMisses).
 func compileBatchTable(arch *topology.Architecture, demand *routing.PairSet) (*routing.CompiledTable, error) {
 	n := len(arch.Nodes())
-	if n <= maxDenseSimNodes {
+	if demand == nil {
+		demand = routing.NewPairSet(n)
+	}
+	var (
+		router routing.Router
+		vcs    routing.VCAssignment
+		pairs  = demand
+	)
+	switch {
+	case n <= maxDenseSimNodes:
 		table, err := routing.Build(arch)
 		if err != nil {
 			return nil, fmt.Errorf("routing: %w", err)
 		}
-		vcs, err := routing.AssignVirtualChannels(table, arch, nil)
-		if err != nil {
+		if vcs, err = routing.AssignVirtualChannels(table, arch, nil); err != nil {
 			return nil, fmt.Errorf("VC assignment: %w", err)
 		}
-		ct, err := routing.CompileTable(table, arch, vcs)
-		if err != nil {
-			return nil, fmt.Errorf("compile: %w", err)
-		}
-		return ct, nil
-	}
-	if demand == nil {
-		demand = routing.NewPairSet(n)
-	}
-	if demand.All() {
+		router, pairs = table, nil
+	case demand.All():
 		lm, err := routing.NewLandmarkRouter(arch, routing.DefaultLandmarks)
 		if err != nil {
 			return nil, fmt.Errorf("routing: %w", err)
 		}
-		ct, err := routing.CompileTablePairs(lm, arch, lm.VCAssignment(), routing.NewPairSet(n))
+		router, vcs, pairs = lm, lm.VCAssignment(), routing.NewPairSet(n)
+	default:
+		sparse, err := routing.NewSparseRouter(arch)
 		if err != nil {
-			return nil, fmt.Errorf("compile: %w", err)
+			return nil, fmt.Errorf("routing: %w", err)
 		}
-		return ct, nil
+		rs, err := sparse.Precompute(demand, 0)
+		if err != nil {
+			return nil, fmt.Errorf("routing: %w", err)
+		}
+		if vcs, err = routing.AssignVirtualChannels(rs, arch, demand.NodePairs(sparse.Frozen().IDs())); err != nil {
+			return nil, fmt.Errorf("VC assignment: %w", err)
+		}
+		router = rs
 	}
-	router, err := routing.NewSparseRouter(arch)
-	if err != nil {
-		return nil, fmt.Errorf("routing: %w", err)
-	}
-	rs, err := router.Precompute(demand, 0)
-	if err != nil {
-		return nil, fmt.Errorf("routing: %w", err)
-	}
-	vcs, err := routing.AssignVirtualChannels(rs, arch, demand.NodePairs(router.Frozen().IDs()))
-	if err != nil {
-		return nil, fmt.Errorf("VC assignment: %w", err)
-	}
-	ct, err := routing.CompileTablePairs(rs, arch, vcs, demand)
+	ct, err := routing.CompileTablePairs(router, arch, vcs, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}

@@ -10,8 +10,8 @@ import (
 
 // TestBuildBatchDenseBelowThreshold pins the compatibility policy:
 // architectures at or under maxDenseSimNodes always get the classic
-// dense all-pairs table, whatever the demand — the layout every
-// recorded fixture was produced against.
+// Build routes compiled over every ordered pair, whatever the demand —
+// the tables every recorded fixture was produced against.
 func TestBuildBatchDenseBelowThreshold(t *testing.T) {
 	req := &SimRequest{
 		Archs: []SimArch{{Mesh: "4x4"}},
@@ -24,8 +24,8 @@ func TestBuildBatchDenseBelowThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Archs[0].Table.AllPairs() {
-		t.Fatal("small architecture compiled sparse")
+	if got := b.Archs[0].Table.PairCount(); got != 16*15 {
+		t.Fatalf("small architecture compiled %d pairs, want all %d", got, 16*15)
 	}
 }
 
@@ -57,10 +57,10 @@ func TestBuildBatchSparseLargeArch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := b.Archs[0].Table
-	if ct.AllPairs() {
-		t.Fatal("large architecture compiled dense")
-	}
 	n := 46 * 46
+	if ct.PairCount() == n*(n-1) {
+		t.Fatal("large architecture compiled every pair")
+	}
 	pat1, err := NewPattern("transpose", n)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestBuildBatchSparseLargeArch(t *testing.T) {
 		t.Fatalf("table covers %d pairs, demand union has %d", ct.PairCount(), union.Len())
 	}
 	// The whole point: the sparse index plus its plans stay tiny next to
-	// the ~n² dense layout (the 2116² span array alone is ~18 MB).
+	// a complete table (its 2116² pair index alone is ~18 MB).
 	if fp := ct.MemoryFootprint(); fp > 8<<20 {
 		t.Fatalf("sparse table footprint %d bytes", fp)
 	}
@@ -109,7 +109,7 @@ func TestBuildBatchSparseLargeArch(t *testing.T) {
 // above the dense threshold — once a refusal — now compiles the
 // landmark route source: an empty sparse table (every plan resolves
 // lazily), the landmark VC budget, O(L·n) memory instead of a ~12 GB
-// dense layout, and a simulation that completes with every delivery
+// complete table, and a simulation that completes with every delivery
 // counted as a lazy plan miss.
 func TestBuildBatchUniformLargeViaLandmarks(t *testing.T) {
 	if testing.Short() {
@@ -128,8 +128,8 @@ func TestBuildBatchUniformLargeViaLandmarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := b.Archs[0].Table
-	if ct.AllPairs() || ct.PairCount() != 0 {
-		t.Fatalf("uniform-at-scale table: allPairs=%v pairs=%d, want empty sparse", ct.AllPairs(), ct.PairCount())
+	if ct.PairCount() != 0 {
+		t.Fatalf("uniform-at-scale table: pairs=%d, want empty sparse", ct.PairCount())
 	}
 	if ct.NumVCs() != 4 {
 		t.Fatalf("landmark table has %d VCs, want %d trees", ct.NumVCs(), 4)

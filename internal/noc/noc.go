@@ -41,7 +41,7 @@
 //     backing array (capacity is BufferFlits, enforced by credits).
 //   - Packets come from a pooled arena with freelist reuse (opt-in via
 //     SetPacketRecycling), and Inject resolves routes through a
-//     routing.CompiledTable — dense per-(src,dst) route/VC/out-slot plans
+//     routing.CompiledTable — per-(src,dst) route/VC/out-slot plans
 //     computed once per table — so steady-state injection performs no
 //     route walks, slice copies or heap allocation.
 //   - Flits in flight live on a timing wheel indexed by arrival cycle
@@ -377,8 +377,9 @@ func csrSlot(nbr []int32, v int32) (int32, bool) {
 }
 
 // New builds a simulator over the architecture and routing table,
-// compiling the table and the deadlock-free VC assignment into dense
-// route plans (the assignment determines NumVCs if cfg.NumVCs is lower).
+// compiling the table and the deadlock-free VC assignment into route
+// plans for every ordered pair (the assignment determines NumVCs if
+// cfg.NumVCs is lower).
 // Callers building several networks over the same (table, vc) should
 // compile once with routing.CompileTable and use NewCompiled.
 func New(cfg Config, arch *topology.Architecture, table routing.Table, vc routing.VCAssignment) (*Network, error) {

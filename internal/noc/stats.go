@@ -25,9 +25,9 @@ type Stats struct {
 
 	// PlanMisses counts injections whose route plan was absent from the
 	// compiled table's demand set and had to be resolved through the
-	// lazy per-pair compile cache (sparse tables only; always zero on
-	// dense all-pairs tables). A high count relative to Injected means
-	// the pattern's declared demand underestimates its support.
+	// lazy per-pair compile cache (always zero on tables compiled over
+	// every ordered pair). A high count relative to Injected means the
+	// pattern's declared demand underestimates its support.
 	PlanMisses int64
 
 	// DeliveredBits counts payload bits of delivered packets.

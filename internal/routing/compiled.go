@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,16 +26,14 @@ const maxCompiledVCs = 256
 // injection path, the sweep harness and the service's simulate path all
 // consume.
 //
-// Two index layouts share the plan arrays. The dense layout spans every
-// ordered pair (start has n²+1 entries, O(n²) memory — 10⁸ spans at 10k
-// routers); CompileTable produces it and it remains the right shape for
-// all-pairs (uniform) demand on small and mid-size networks. The sparse
-// layout (CompileTablePairs) indexes only a demanded PairSet through a
-// CSR-style per-source row of destination indices, so a permutation on
-// 10k routers compiles 10⁴ plans instead of 10⁸. Pairs outside the
-// demand resolve through a size-bounded, mutex-sharded lazy compile
-// cache (PlanByIndexLazy) against the router the table was compiled
-// from.
+// The plans are indexed by a CSR-style per-source row of demanded
+// destination indices. CompileTable indexes every ordered pair — the
+// complete table uniform demand needs on small and mid-size networks.
+// CompileTablePairs indexes only a demanded PairSet, so a permutation
+// on 10k routers compiles 10⁴ plans instead of 10⁸. Pairs outside an
+// incomplete demand resolve through a size-bounded, mutex-sharded lazy
+// compile cache (PlanByIndexLazy) against the router the table was
+// compiled from.
 //
 // Output-port slots follow the simulator's port convention: slot k of a
 // router is its k-th smallest neighbor in the frozen CSR adjacency, and
@@ -45,16 +44,13 @@ type CompiledTable struct {
 	frz    *graph.Frozen
 	numVCs int
 
-	// Dense layout: start[s*n+d] .. start[s*n+d+1] delimit pair (s, d)
-	// in the flat plan arrays; an empty span marks an invalid pair
-	// (s == d). Sparse layout: srcOff/dsts form a CSR row per source —
-	// dsts[srcOff[s]:srcOff[s+1]] are s's demanded destinations in
-	// ascending index order — and start is aligned to positions in dsts
-	// (start[p] .. start[p+1] delimit the plan of the pair at dsts[p]).
-	// srcOff == nil selects the dense layout.
-	start  []int32
+	// srcOff/dsts form a CSR row per source: dsts[srcOff[s]:srcOff[s+1]]
+	// are s's demanded destinations in ascending index order. start is
+	// aligned to positions in dsts: start[p] .. start[p+1] delimit the
+	// plan of the pair at dsts[p] in the flat plan arrays.
 	srcOff []int32
 	dsts   []int32
+	start  []int32
 
 	// nodes, vcs and outSlot hold the plans position by position: for a
 	// plan of length L, position i < L-1 carries the VC occupied at
@@ -64,8 +60,8 @@ type CompiledTable struct {
 	vcs     []uint8
 	outSlot []int32
 
-	// lazy caches plans compiled on demand for pairs outside the sparse
-	// index; nil on dense tables (they cover everything).
+	// lazy caches plans compiled on demand for pairs outside the index;
+	// nil on complete tables (they cover everything).
 	lazy *lazyPlans
 
 	fpOnce sync.Once
@@ -73,108 +69,75 @@ type CompiledTable struct {
 }
 
 // CompileTable flattens a routing table and its deadlock-free VC
-// assignment over the architecture into a dense all-pairs CompiledTable.
-// Every ordered node pair's route is walked once through the table's
-// next-hop matrix as a sequence of frozen edge ids: each hop's output
-// slot is its edge id minus the router's first out-edge id, and its
-// dateline VC follows incrementally from the assignment's per-edge
+// assignment over the architecture into a complete CompiledTable, one
+// plan per ordered node pair. Every route is walked once through the
+// table's next-hop matrix as a sequence of frozen edge ids: each hop's
+// output slot is its edge id minus the router's first out-edge id, and
+// its dateline VC follows incrementally from the assignment's per-edge
 // labels — the plans are definitionally identical to Table.Route with
 // VCAssignment.VCForHop per hop. Every hop is checked against the
 // architecture's frozen adjacency, so consumers can trust plans without
 // re-validating links.
 func CompileTable(table Table, arch *topology.Architecture, vc VCAssignment) (*CompiledTable, error) {
-	if len(table.ids) == 0 || arch == nil {
-		return nil, fmt.Errorf("routing: compile needs a table and an architecture")
-	}
-	return compileAllPairs(table, arch, vc)
+	return CompileTablePairs(table, arch, vc, nil)
 }
 
 // CompileTablePairs compiles exactly the demanded pairs of a routing
-// source into a sparse CompiledTable, attaching the router as the lazy
-// resolver for every pair outside the demand. A nil or all-pairs demand
-// degenerates to the dense layout of CompileTable. The router is any
-// route source — a Table, or a SparseRouter for architectures too
-// large to materialize a table at all.
+// source; a nil demand means every ordered pair. Unless the demand is
+// complete, the router is attached as the lazy resolver for every pair
+// outside it. The router is any route source — a Table, or a
+// SparseRouter for architectures too large to materialize a table at
+// all.
 func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignment, pairs *PairSet) (*CompiledTable, error) {
 	if router == nil || arch == nil {
 		return nil, fmt.Errorf("routing: compile needs a route source and an architecture")
 	}
-	if pairs == nil || pairs.All() {
-		return compileAllPairs(router, arch, vc)
-	}
 	frz := arch.Graph().Freeze()
 	n := frz.NodeCount()
+	if pairs == nil {
+		pairs = AllPairs(n)
+	}
 	if pairs.N() != n {
 		return nil, fmt.Errorf("routing: demand set over %d nodes does not match architecture with %d", pairs.N(), n)
 	}
 	if vc.NumVCs > maxCompiledVCs {
 		return nil, fmt.Errorf("routing: %d virtual channels exceed the compiled plan limit %d", vc.NumVCs, maxCompiledVCs)
 	}
-	sorted := pairs.Sorted()
-	ct := &CompiledTable{
-		frz:    frz,
-		numVCs: vc.NumVCs,
-		srcOff: make([]int32, n+1),
-		dsts:   make([]int32, 0, len(sorted)),
-		start:  make([]int32, 0, len(sorted)+1),
-	}
-	pc := newPlanCompiler(router, frz, vc, false)
-	ct.start = append(ct.start, 0)
-	var buf []int32
-	for _, pr := range sorted {
-		s, d := int(pr[0]), int(pr[1])
-		var err error
-		if buf, err = pc.appendPlan(ct, s, d, false, buf); err != nil {
-			return nil, err
-		}
-		ct.dsts = append(ct.dsts, pr[1])
-		ct.start = append(ct.start, int32(len(ct.nodes)))
-		ct.srcOff[s+1]++
-	}
-	for s := 0; s < n; s++ {
-		ct.srcOff[s+1] += ct.srcOff[s]
-	}
-	ct.lazy = newLazyPlans(pc)
-	return ct, nil
-}
-
-// compileAllPairs builds the dense layout over every ordered pair. For a
-// Table over the architecture's nodes the plan arrays are sized exactly
-// up front from the table's route lengths.
-func compileAllPairs(router Router, arch *topology.Architecture, vc VCAssignment) (*CompiledTable, error) {
-	frz := arch.Graph().Freeze()
-	n := frz.NodeCount()
-	if vc.NumVCs > maxCompiledVCs {
-		return nil, fmt.Errorf("routing: %d virtual channels exceed the compiled plan limit %d", vc.NumVCs, maxCompiledVCs)
-	}
-	ct := &CompiledTable{
-		frz:    frz,
-		numVCs: vc.NumVCs,
-		start:  make([]int32, n*n+1),
-	}
-	pc := newPlanCompiler(router, frz, vc, true)
-	if t := pc.w.table; t != nil {
+	ct := &CompiledTable{frz: frz, numVCs: vc.NumVCs}
+	ct.srcOff, ct.dsts = pairs.csr()
+	complete := ct.complete()
+	pc := newPlanCompiler(router, frz, vc, complete)
+	if t := pc.w.table; complete && t != nil {
+		// A complete compile of a Table sizes its plan arrays exactly
+		// up front from the table's route lengths.
 		if size := t.planPositions(); size >= 0 {
 			ct.nodes = make([]graph.NodeID, 0, size)
 			ct.vcs = make([]uint8, 0, size)
 			ct.outSlot = make([]int32, 0, size)
 		}
 	}
+	ct.start = make([]int32, 1, len(ct.dsts)+1)
 	var buf []int32
 	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			ct.start[s*n+d] = int32(len(ct.nodes))
-			if s == d {
-				continue
-			}
+		for _, d := range ct.dsts[ct.srcOff[s]:ct.srcOff[s+1]] {
 			var err error
-			if buf, err = pc.appendPlan(ct, s, d, false, buf); err != nil {
+			if buf, err = pc.appendPlan(ct, s, int(d), false, buf); err != nil {
 				return nil, err
 			}
+			ct.start = append(ct.start, int32(len(ct.nodes)))
 		}
 	}
-	ct.start[n*n] = int32(len(ct.nodes))
+	if !complete {
+		ct.lazy = newLazyPlans(pc)
+	}
 	return ct, nil
+}
+
+// complete reports whether the index holds every ordered pair of
+// distinct nodes, so no lookup can miss it.
+func (ct *CompiledTable) complete() bool {
+	n := ct.frz.NodeCount()
+	return len(ct.dsts) == n*(n-1)
 }
 
 // planPositions returns the total plan length — hops plus one — of every
@@ -291,36 +254,21 @@ func (pc *planCompiler) appendPlan(ct *CompiledTable, s, d int, clampVC bool, bu
 	return edges, nil
 }
 
-// csrSlotOf returns the position of v in an ascending index row.
-func csrSlotOf(nbr []int32, v int32) (int32, bool) {
-	lo, hi := 0, len(nbr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nbr[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(nbr) && nbr[lo] == v {
-		return int32(lo), true
-	}
-	return 0, false
-}
-
 // Fingerprint returns a content hash of the compiled plans: two tables
 // with equal fingerprints route identically over identical topologies
 // *and cover the same demand*, so simulator state built against one is
 // interchangeable with state built against the other (the keying
 // contract of noc's network pool). The hash covers the frozen topology's
-// canonical hash, the VC count, the layout (dense, or the sparse
-// srcOff/dsts pair index), and every plan position — start spans, vcs
-// and outSlot; route node ids are determined by the topology plus
-// outSlot, so they need no separate coverage. Computed lazily once and
-// memoized.
+// canonical hash, the VC count, the pair index and every plan position
+// — start spans, vcs and outSlot; route node ids are determined by the
+// topology plus outSlot, so they need no separate coverage. Computed
+// lazily once and memoized.
 //
-// Layout version 2: sparse pair index added, vcs narrowed to one byte
-// per position. Version-1 fingerprints (dense, 4-byte vcs) are not
+// Layout version 2. A complete table hashes in the dense encoding: flag
+// 1, empty srcOff and dsts, then n²+1 start offsets indexed s*n+d with
+// an empty span at each s == d, generated from the CSR index while
+// hashing. Any other table hashes flag 0 and its srcOff, dsts and start
+// arrays as stored. Version-1 fingerprints (dense, 4-byte vcs) are not
 // comparable.
 func (ct *CompiledTable) Fingerprint() [32]byte {
 	ct.fpOnce.Do(func() {
@@ -329,10 +277,14 @@ func (ct *CompiledTable) Fingerprint() [32]byte {
 		sum := ct.frz.CanonicalHash()
 		h.Write(sum[:])
 		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(ct.numVCs))
-		h.Write(buf[:])
-		if ct.srcOff == nil {
-			h.Write([]byte{1}) // dense all-pairs layout
+		writeLen := func(k int) {
+			binary.LittleEndian.PutUint64(buf[:], uint64(k))
+			h.Write(buf[:])
+		}
+		writeLen(ct.numVCs)
+		complete := ct.complete()
+		if complete {
+			h.Write([]byte{1})
 		} else {
 			h.Write([]byte{0})
 		}
@@ -345,18 +297,41 @@ func (ct *CompiledTable) Fingerprint() [32]byte {
 				chunk = chunk[:0]
 			}
 		}
+		put := func(v int32) {
+			chunk = binary.LittleEndian.AppendUint32(chunk, uint32(v))
+			flush(false)
+		}
 		writeInt32s := func(vs []int32) {
-			binary.LittleEndian.PutUint64(buf[:], uint64(len(vs)))
-			h.Write(buf[:])
+			writeLen(len(vs))
 			for _, v := range vs {
-				chunk = binary.LittleEndian.AppendUint32(chunk, uint32(v))
-				flush(false)
+				put(v)
 			}
 			flush(true)
 		}
-		writeInt32s(ct.srcOff)
-		writeInt32s(ct.dsts)
-		writeInt32s(ct.start)
+		if complete {
+			n := ct.frz.NodeCount()
+			writeInt32s(nil)
+			writeInt32s(nil)
+			writeLen(n*n + 1)
+			for s := 0; s < n; s++ {
+				// Row s holds every d != s, so d sits at row position
+				// d or d-1; s == d takes the span start of (s, s+1).
+				row := ct.start[s*(n-1):]
+				for d := 0; d < n; d++ {
+					if d > s {
+						put(row[d-1])
+					} else {
+						put(row[d])
+					}
+				}
+			}
+			put(ct.start[len(ct.start)-1])
+			flush(true)
+		} else {
+			writeInt32s(ct.srcOff)
+			writeInt32s(ct.dsts)
+			writeInt32s(ct.start)
+		}
 		for _, v := range ct.vcs {
 			chunk = append(chunk, v)
 			flush(false)
@@ -379,24 +354,15 @@ func (ct *CompiledTable) NumVCs() int { return ct.numVCs }
 // NodeCount returns the number of nodes the table was compiled for.
 func (ct *CompiledTable) NodeCount() int { return ct.frz.NodeCount() }
 
-// AllPairs reports whether the table uses the dense all-pairs layout.
-func (ct *CompiledTable) AllPairs() bool { return ct.srcOff == nil }
-
 // PairCount returns the number of ahead-of-time compiled (src, dst)
-// pairs: n·(n-1) for the dense layout, the demand size for the sparse
-// one. Lazily cached plans are not counted.
-func (ct *CompiledTable) PairCount() int {
-	if ct.srcOff == nil {
-		n := ct.frz.NodeCount()
-		return n * (n - 1)
-	}
-	return len(ct.dsts)
-}
+// pairs: n·(n-1) for a complete table, the demand size otherwise.
+// Lazily cached plans are not counted.
+func (ct *CompiledTable) PairCount() int { return len(ct.dsts) }
 
 // MemoryFootprint returns the resident bytes of the table's index and
-// plan arrays, including currently cached lazy plans — the quantity the
-// sparse layout exists to bound (a dense 10k-router table is ~12 GB; a
-// permutation-demand sparse one is a few MB).
+// plan arrays, including currently cached lazy plans — the quantity
+// demand-driven compilation exists to bound (a complete 10k-router
+// table is ~12 GB; a permutation-demand one is a few MB).
 func (ct *CompiledTable) MemoryFootprint() int64 {
 	sz := int64(len(ct.start))*4 + int64(len(ct.srcOff))*4 + int64(len(ct.dsts))*4
 	sz += int64(len(ct.nodes))*8 + int64(len(ct.vcs)) + int64(len(ct.outSlot))*4
@@ -408,38 +374,37 @@ func (ct *CompiledTable) MemoryFootprint() int64 {
 
 // PlanByIndex returns the route plan between dense node indices as three
 // aligned read-only views (route node ids, per-position VCs, per-position
-// output slots). ok is false for s == d, out-of-range indices, and — on
-// sparse tables — pairs outside the compiled demand (use PlanByIndexLazy
-// to resolve those). Callers must not mutate the views.
+// output slots). ok is false for s == d, out-of-range indices and pairs
+// outside the compiled demand (use PlanByIndexLazy to resolve those).
+// Callers must not mutate the views.
 func (ct *CompiledTable) PlanByIndex(s, d int) (route []graph.NodeID, vcs []uint8, outSlot []int32, ok bool) {
 	n := ct.frz.NodeCount()
 	if s < 0 || s >= n || d < 0 || d >= n || s == d {
 		return nil, nil, nil, false
 	}
-	var lo, hi int32
-	if ct.srcOff == nil {
-		lo, hi = ct.start[s*n+d], ct.start[s*n+d+1]
-	} else {
-		row := ct.dsts[ct.srcOff[s]:ct.srcOff[s+1]]
-		p, found := csrSlotOf(row, int32(d))
-		if !found {
+	// A full row holds every d != s in order, so d sits at d or d-1;
+	// any other row is searched.
+	rowLo, rowHi := ct.srcOff[s], ct.srcOff[s+1]
+	p := d
+	if d > s {
+		p--
+	}
+	if int(rowHi-rowLo) != n-1 {
+		var found bool
+		if p, found = slices.BinarySearch(ct.dsts[rowLo:rowHi], int32(d)); !found {
 			return nil, nil, nil, false
 		}
-		pos := ct.srcOff[s] + p
-		lo, hi = ct.start[pos], ct.start[pos+1]
 	}
-	if lo == hi {
-		return nil, nil, nil, false
-	}
+	pos := int(rowLo) + p
+	lo, hi := ct.start[pos], ct.start[pos+1]
 	return ct.nodes[lo:hi:hi], ct.vcs[lo:hi:hi], ct.outSlot[lo:hi:hi], true
 }
 
-// PlanByIndexLazy is PlanByIndex with a fallback: a pair missing from a
-// sparse table's compiled demand is resolved through the table's router,
+// PlanByIndexLazy is PlanByIndex with a fallback: a pair missing from
+// the table's compiled demand is resolved through the table's router,
 // compiled, cached in a bounded mutex-sharded cache, and returned with
 // miss set. Safe for concurrent use. ok is false only for genuinely
-// unplannable pairs (s == d, out of range, unroutable, or a dense-table
-// miss, which has no router to fall back to).
+// unplannable pairs (s == d, out of range or unroutable).
 func (ct *CompiledTable) PlanByIndexLazy(s, d int) (route []graph.NodeID, vcs []uint8, outSlot []int32, miss, ok bool) {
 	route, vcs, outSlot, ok = ct.PlanByIndex(s, d)
 	if ok {
@@ -464,7 +429,7 @@ func (ct *CompiledTable) Plan(src, dst graph.NodeID) (route []graph.NodeID, vcs 
 }
 
 // LazyCompiles returns how many plans the lazy fallback has compiled
-// over the table's lifetime (0 for dense tables). Cache hits do not
+// over the table's lifetime (0 for complete tables). Cache hits do not
 // recompile.
 func (ct *CompiledTable) LazyCompiles() int64 {
 	if ct.lazy == nil {
@@ -485,7 +450,7 @@ func (ct *CompiledTable) LazyCached() int {
 // SetLazyBound overrides the lazy cache's total plan bound (default
 // DefaultLazyPlanBound). Must be called before the table is shared
 // across goroutines; it exists for tests and memory-constrained
-// embedders. No-op on dense tables.
+// embedders. No-op on complete tables.
 func (ct *CompiledTable) SetLazyBound(bound int) {
 	if ct.lazy != nil && bound > 0 {
 		ct.lazy.setBound(bound)
@@ -493,8 +458,8 @@ func (ct *CompiledTable) SetLazyBound(bound int) {
 }
 
 // DefaultLazyPlanBound is the default total number of lazily compiled
-// plans a sparse table retains across its cache shards. At a typical ~6
-// hop plan this bounds the cache near 10 MB — small next to the dense
+// plans a table retains across its cache shards. At a typical ~6 hop
+// plan this bounds the cache near 10 MB — small next to the complete
 // table it replaces, large enough that a hotspot pattern's uniform
 // escape tail mostly hits.
 const DefaultLazyPlanBound = 65536
@@ -517,10 +482,10 @@ type lazyShard struct {
 	bytes int64
 }
 
-// lazyPlans is the bounded per-pair compile cache behind sparse tables.
-// Each shard owns a FIFO-evicted map slice of the key space; compilation
-// happens under the shard lock, so concurrent injectors of the same pair
-// compile it once.
+// lazyPlans is the bounded per-pair compile cache behind incomplete
+// tables. Each shard owns a FIFO-evicted map slice of the key space;
+// compilation happens under the shard lock, so concurrent injectors of
+// the same pair compile it once.
 type lazyPlans struct {
 	pc       *planCompiler
 	perShard atomic.Int64

@@ -84,11 +84,12 @@ func plansEqual(ar []graph.NodeID, av []uint8, as []int32, br []graph.NodeID, bv
 	return true
 }
 
-// TestCompileTablePairsMatchesDense is the sparse-vs-dense equivalence
+// TestCompileTablePairsMatchesDense is the demand-vs-complete equivalence
 // property: for the same route source and the same VC assignment, every
-// demanded pair's sparse plan is byte-identical to the dense compile,
-// across three topology families. Pairs outside the demand resolve
-// through the lazy fallback to the same plan the dense table holds.
+// demanded pair's plan is byte-identical to the complete CompileTable
+// compile, across three topology families. Pairs outside the demand
+// resolve through the lazy fallback to the same plan the complete table
+// holds.
 func TestCompileTablePairsMatchesDense(t *testing.T) {
 	for name, tc := range equivalenceArchs(t) {
 		vc, err := AssignVirtualChannels(tc.table, tc.arch, nil)
@@ -114,8 +115,8 @@ func TestCompileTablePairsMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if sparse.AllPairs() {
-			t.Fatalf("%s: sparse table reports all-pairs", name)
+		if sparse.PairCount() == n*(n-1) {
+			t.Fatalf("%s: sparse table reports all pairs", name)
 		}
 		if sparse.PairCount() != demand.Len() {
 			t.Fatalf("%s: pair count %d != demand %d", name, sparse.PairCount(), demand.Len())
@@ -161,17 +162,27 @@ func TestCompileTablePairsMatchesDense(t *testing.T) {
 			t.Fatalf("%s: lazy fallback never compiled", name)
 		}
 
-		// Nil and all-pairs demand degenerate to the dense layout.
-		for _, p := range []*PairSet{nil, AllPairs(n)} {
+		// Nil, all-pairs and an explicitly complete demand all compile
+		// the complete table: same fingerprint, no lazy resolver.
+		full := NewPairSet(n)
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				full.Add(s, d)
+			}
+		}
+		for _, p := range []*PairSet{nil, AllPairs(n), full} {
 			d2, err := CompileTablePairs(tc.table, tc.arch, vc, p)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if !d2.AllPairs() {
-				t.Fatalf("%s: degenerate demand did not produce a dense table", name)
+			if d2.PairCount() != n*(n-1) {
+				t.Fatalf("%s: complete demand compiled %d pairs, want %d", name, d2.PairCount(), n*(n-1))
+			}
+			if d2.lazy != nil {
+				t.Fatalf("%s: complete table carries a lazy resolver", name)
 			}
 			if d2.Fingerprint() != dense.Fingerprint() {
-				t.Fatalf("%s: degenerate fingerprint differs from dense", name)
+				t.Fatalf("%s: complete-demand fingerprint differs from CompileTable", name)
 			}
 		}
 	}
@@ -225,6 +236,30 @@ func TestSparseFingerprintCoversDemand(t *testing.T) {
 	}
 	if sa.MemoryFootprint() <= 0 || dense.MemoryFootprint() <= sa.MemoryFootprint() {
 		t.Fatalf("footprints: dense %d, sparse %d", dense.MemoryFootprint(), sa.MemoryFootprint())
+	}
+}
+
+// TestCompileTablePairsRejectsMismatchedDemand: a demand over a
+// different node count fails, whatever its kind — all-pairs included.
+func TestCompileTablePairsRejectsMismatchedDemand(t *testing.T) {
+	arch, err := topology.Mesh(3, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := XY(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc, err := AssignVirtualChannels(table, arch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := NewPairSet(4)
+	sparse.Add(0, 3)
+	for _, p := range []*PairSet{AllPairs(4), sparse, NewPairSet(16)} {
+		if _, err := CompileTablePairs(table, arch, vc, p); err == nil {
+			t.Fatalf("demand over %d nodes (all=%v) compiled on a 9-node mesh", p.N(), p.All())
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // because every consumer — pattern sampling, plan lookup, the compile
 // loop — already lives in index space. The all-pairs state is a flag,
 // not n² entries, so uniform demand on a 10k-router network costs no
-// memory (and selects the dense table layout).
+// memory until it is compiled into a complete table.
 type PairSet struct {
 	n     int
 	all   bool
@@ -131,6 +131,35 @@ func (p *PairSet) Sorted() [][2]int32 {
 		return out[i][1] < out[j][1]
 	})
 	return out
+}
+
+// csr returns the set as a per-source index: dsts[srcOff[s]:srcOff[s+1]]
+// are s's destinations in ascending order. The all-pairs state is
+// generated row by row, never as a list of n² pairs.
+func (p *PairSet) csr() (srcOff, dsts []int32) {
+	srcOff = make([]int32, p.n+1)
+	if p.all {
+		dsts = make([]int32, 0, p.n*(p.n-1))
+		for s := 0; s < p.n; s++ {
+			for d := 0; d < p.n; d++ {
+				if d != s {
+					dsts = append(dsts, int32(d))
+				}
+			}
+			srcOff[s+1] = int32(len(dsts))
+		}
+		return srcOff, dsts
+	}
+	sorted := p.Sorted()
+	dsts = make([]int32, len(sorted))
+	for i, pr := range sorted {
+		dsts[i] = pr[1]
+		srcOff[pr[0]+1]++
+	}
+	for s := 0; s < p.n; s++ {
+		srcOff[s+1] += srcOff[s]
+	}
+	return srcOff, dsts
 }
 
 // NodePairs translates the set into node-id pairs through the dense

@@ -195,7 +195,7 @@ type Result struct {
 	VCs           VCAssignment
 	Stats         core.Stats
 
-	// compiled caches the dense route plans shared by every network built
+	// compiled caches the complete route plans shared by every network built
 	// over this result (sweep workers, the service's simulate path), so
 	// the table is compiled once per synthesis, not once per simulation.
 	compiledOnce sync.Once
@@ -203,9 +203,10 @@ type Result struct {
 	compiledErr  error
 }
 
-// CompiledRouting returns the result's routing table compiled into dense
-// per-(src,dst) route/VC/out-slot plans, computing it on first use and
-// sharing the same immutable table across all callers.
+// CompiledRouting returns the result's routing table compiled into
+// route/VC/out-slot plans for every ordered (src, dst) pair, computing
+// it on first use and sharing the same immutable table across all
+// callers.
 func (r *Result) CompiledRouting() (*routing.CompiledTable, error) {
 	r.compiledOnce.Do(func() {
 		r.compiled, r.compiledErr = routing.CompileTable(r.Routing, r.Architecture, r.VCs)
@@ -214,13 +215,13 @@ func (r *Result) CompiledRouting() (*routing.CompiledTable, error) {
 }
 
 // CompiledRoutingPairs compiles only the demanded pairs of the result's
-// routing table — the sparse form for workloads (a permutation, a
-// hotspot pattern) that draw a small subset of the n² pairs. Plans for
-// demanded pairs are byte-identical to CompiledRouting's (same table,
-// same VC assignment); pairs outside the demand resolve through the
-// table's lazy compile cache at simulation time. A nil or all-pairs
-// demand returns the shared dense table. Unlike CompiledRouting, sparse
-// results are not memoized: each demand set is its own table.
+// routing table — for workloads (a permutation, a hotspot pattern) that
+// draw a small subset of the n² pairs. Plans for demanded pairs are
+// byte-identical to CompiledRouting's (same table, same VC assignment);
+// pairs outside the demand resolve through the table's lazy compile
+// cache at simulation time. A nil or all-pairs demand returns the
+// shared complete table. Unlike CompiledRouting, demand-driven results
+// are not memoized: each demand set is its own table.
 func (r *Result) CompiledRoutingPairs(pairs *routing.PairSet) (*routing.CompiledTable, error) {
 	if pairs == nil || pairs.All() {
 		return r.CompiledRouting()
@@ -311,9 +312,9 @@ func (r *Result) NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return noc.NewCompiled(cfg, r.Architecture, ct)
 }
 
-// NewNetworkPairs is NewNetwork over a demand-compiled sparse table
-// (see CompiledRoutingPairs): the simulator for a workload that only
-// draws the given pairs, at a fraction of the dense table's memory.
+// NewNetworkPairs is NewNetwork over a demand-compiled table (see
+// CompiledRoutingPairs): the simulator for a workload that only draws
+// the given pairs, at a fraction of the complete table's memory.
 func (r *Result) NewNetworkPairs(cfg NetworkConfig, pairs *routing.PairSet) (*Network, error) {
 	ct, err := r.CompiledRoutingPairs(pairs)
 	if err != nil {
@@ -348,7 +349,7 @@ func MeshNetworkFactory(rows, cols int, placement *Placement, cfg NetworkConfig)
 // non-nil, non-all pairs set compiles the XY table sparsely for exactly
 // those pairs (identical plans, lazy fallback for the rest), which is
 // what the sweep and batch drivers thread through for permutation and
-// hotspot patterns on large meshes. nil keeps the dense all-pairs
+// hotspot patterns on large meshes. nil keeps the complete all-pairs
 // compile.
 func MeshNetworkFactoryPairs(rows, cols int, placement *Placement, cfg NetworkConfig, pairs *routing.PairSet) (func() (*Network, error), *Architecture, error) {
 	arch, err := topology.Mesh(rows, cols, placement)

@@ -64,6 +64,10 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// resultWireGolden is the pinned wire form of the hand-built result of
+// TestResultJSONGolden.
+const resultWireGolden = `{"version":1,"decomposition":{"cost":5,"remainderCost":1,"matches":[{"primitive":1,"depth":0,"cost":4,"mapping":[[1,3],[2,2],[3,1]]}],"remainder":{"name":"golden-rem","nodes":[1,2],"edges":[{"from":1,"to":2,"volume":8,"bandwidth":1}]}},"architecture":{"name":"golden-arch","nodes":[1,2,3],"links":[{"a":1,"b":2,"lengthMM":1,"demandMbps":4},{"a":2,"b":3,"lengthMM":1,"demandMbps":2}],"preferredRoutes":[[1,2,3]]},"routing":[{"node":1,"dst":2,"next":2},{"node":1,"dst":3,"next":2},{"node":2,"dst":1,"next":1},{"node":2,"dst":3,"next":3},{"node":3,"dst":1,"next":2},{"node":3,"dst":2,"next":2}],"vcs":{"numVCs":1,"singleVC":true,"labels":[{"from":1,"to":2,"label":0},{"from":2,"to":1,"label":1},{"from":2,"to":3,"label":2},{"from":3,"to":2,"label":3}]},"stats":{"NodesExplored":0,"MatchingsTried":0,"BranchesPruned":0,"LeavesReached":0,"ConstraintFails":0,"TimedOut":false,"Canceled":false,"Workers":0,"IsoCacheHits":0,"IsoCacheMisses":0,"Elapsed":0}}`
+
 // TestResultJSONGolden pins the exact wire bytes of a hand-built result.
 // The wire form is a persistence format (disk stores of the synthesis
 // service outlive processes), so accidental drift must fail loudly; bump
@@ -124,7 +128,7 @@ func TestResultJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"version":1,"decomposition":{"cost":5,"remainderCost":1,"matches":[{"primitive":1,"depth":0,"cost":4,"mapping":[[1,3],[2,2],[3,1]]}],"remainder":{"name":"golden-rem","nodes":[1,2],"edges":[{"from":1,"to":2,"volume":8,"bandwidth":1}]}},"architecture":{"name":"golden-arch","nodes":[1,2,3],"links":[{"a":1,"b":2,"lengthMM":1,"demandMbps":4},{"a":2,"b":3,"lengthMM":1,"demandMbps":2}],"preferredRoutes":[[1,2,3]]},"routing":[{"node":1,"dst":2,"next":2},{"node":1,"dst":3,"next":2},{"node":2,"dst":1,"next":1},{"node":2,"dst":3,"next":3},{"node":3,"dst":1,"next":2},{"node":3,"dst":2,"next":2}],"vcs":{"numVCs":1,"singleVC":true,"labels":[{"from":1,"to":2,"label":0},{"from":2,"to":1,"label":1},{"from":2,"to":3,"label":2},{"from":3,"to":2,"label":3}]},"stats":{"NodesExplored":0,"MatchingsTried":0,"BranchesPruned":0,"LeavesReached":0,"ConstraintFails":0,"TimedOut":false,"Canceled":false,"Workers":0,"IsoCacheHits":0,"IsoCacheMisses":0,"Elapsed":0}}`
+	golden := resultWireGolden
 	if string(enc) != golden {
 		t.Fatalf("golden encode drifted:\n got: %s\nwant: %s", enc, golden)
 	}
@@ -154,4 +158,37 @@ func TestDecodeResultRejects(t *testing.T) {
 	if _, err := DecodeResult([]byte(`not json`), nil); err == nil {
 		t.Fatal("garbage decoded")
 	}
+}
+
+// FuzzDecodeResult: decoding arbitrary bytes never panics, and any input
+// DecodeResult accepts re-encodes to bytes that are a fixed point —
+// they decode and encode to themselves.
+func FuzzDecodeResult(f *testing.F) {
+	f.Add([]byte(resultWireGolden))
+	f.Add([]byte(`{"version":1,"decomposition":{"cost":0,"remainderCost":0,"matches":[]}}`))
+	f.Add([]byte(`{"version":1,"decomposition":{"matches":[{"primitive":1,"mapping":[[1,2],[1,3]]}]},"architecture":null}`))
+	f.Add([]byte(`{"version":1,"decomposition":{"matches":[{"primitive":0}]}}`))
+	f.Add([]byte(`null`))
+	lib := DefaultLibrary()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResult(data, lib)
+		if err != nil {
+			return
+		}
+		enc, err := res.EncodeJSON()
+		if err != nil {
+			t.Fatalf("accepted input does not encode: %v\ninput: %s", err, data)
+		}
+		dec, err := DecodeResult(enc, lib)
+		if err != nil {
+			t.Fatalf("re-encoded result does not decode: %v\nbytes: %s", err, enc)
+		}
+		enc2, err := dec.EncodeJSON()
+		if err != nil {
+			t.Fatalf("second encode: %v", err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not a fixed point:\n first: %s\nsecond: %s", enc, enc2)
+		}
+	})
 }

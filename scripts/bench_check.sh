@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Perf-regression gate: compares the newest BENCH_trajectory.json entry
-# against the most recent earlier entry recorded on the same host (equal
-# `host` blocks: CPU model, nproc, GOMAXPROCS, Go release) and fails on a
-# >25% ns/op regression in any benchmark present in both. Figures from
+# against the earlier entries recorded on the same host (equal `host`
+# blocks: CPU model, nproc, GOMAXPROCS, Go release). It fails on a >25%
+# ns/op regression in any benchmark against either reference: the most
+# recent such entry, and the best (lowest) value on record for that
+# benchmark. The second check keeps slow drift from compounding across
+# entries, each within the tolerance of its predecessor. Figures from
 # different hosts are not comparable, so when no earlier entry shares the
 # newest one's host the gate reports "no comparable entry" and passes.
 # Benchmark names are compared with the "-N" suffix `go test` appends at
@@ -33,13 +36,12 @@ if len(entries) < 2:
 
 cur = entries[-1]
 host = cur.get("host")
-prev = None
-if host is not None:
-    prev = next((e for e in reversed(entries[:-1]) if e.get("host") == host), None)
-if prev is None:
+same_host = [e for e in entries[:-1] if host is not None and e.get("host") == host]
+if not same_host:
     print(f"bench_check: no comparable entry for {cur.get('label')!r} "
           f"(no earlier entry recorded on host {host})")
     sys.exit(0)
+prev = same_host[-1]
 
 def base_name(name, gomaxprocs):
     # go test appends "-N" to every benchmark name when GOMAXPROCS is
@@ -58,29 +60,38 @@ def flatten(entry):
             out[base_name(r["name"], procs)] = float(r["ns_per_op"])
     return out
 
-base, now = flatten(prev), flatten(cur)
-failures, checked = [], 0
-for name, ns in sorted(now.items()):
-    ref = base.get(name)
-    if ref is None:
-        print(f"bench_check: NEW   {name}: {ns:.0f} ns/op (no previous entry)")
-        continue
-    if ref < min_ns and ns < min_ns:
-        print(f"bench_check: SKIP  {name}: {ref:.1f} -> {ns:.1f} ns/op (below {min_ns:.0f} ns noise floor)")
-        continue
-    checked += 1
-    delta = (ns - ref) / ref * 100
-    status = "OK   "
-    if delta > tolerance:
-        status = "FAIL "
-        failures.append((name, ref, ns, delta))
-    print(f"bench_check: {status}{name}: {ref:.0f} -> {ns:.0f} ns/op ({delta:+.1f}%)")
+now = flatten(cur)
+last = {name: (ns, prev.get("label")) for name, ns in flatten(prev).items()}
+best = {}
+for e in same_host:
+    for name, ns in flatten(e).items():
+        if name not in best or ns < best[name][0]:
+            best[name] = (ns, e.get("label"))
 
-print(f"bench_check: compared {checked} benchmarks, "
-      f"entry {cur.get('label')!r} vs {prev.get('label')!r}, tolerance {tolerance:.0f}%")
+def check(refs, what):
+    failures, checked = [], 0
+    for name, ns in sorted(now.items()):
+        if name not in refs:
+            print(f"bench_check: NEW   {name}: {ns:.0f} ns/op (no {what} entry)")
+            continue
+        ref, label = refs[name]
+        if ref < min_ns and ns < min_ns:
+            print(f"bench_check: SKIP  {name}: {ref:.1f} -> {ns:.1f} ns/op (below {min_ns:.0f} ns noise floor)")
+            continue
+        checked += 1
+        delta = (ns - ref) / ref * 100
+        status = "OK   "
+        if delta > tolerance:
+            status = "FAIL "
+            failures.append(f"{name} {ref:.0f} ({what} {label!r}) -> {ns:.0f} ns/op ({delta:+.1f}% > {tolerance:.0f}%)")
+        print(f"bench_check: {status}{name}: {ref:.0f} ({label}) -> {ns:.0f} ns/op ({delta:+.1f}%)")
+    print(f"bench_check: compared {checked} benchmarks, entry {cur.get('label')!r} "
+          f"vs {what} on record, tolerance {tolerance:.0f}%")
+    return failures
+
+failures = check(last, "previous") + check(best, "best")
 if failures:
-    for name, ref, ns, delta in failures:
-        print(f"bench_check: regression: {name} {ref:.0f} -> {ns:.0f} ns/op ({delta:+.1f}% > {tolerance:.0f}%)",
-              file=sys.stderr)
+    for f in failures:
+        print(f"bench_check: regression: {f}", file=sys.stderr)
     sys.exit(1)
 EOF
