@@ -44,7 +44,10 @@ func solveOnce(b *testing.B, acg *graph.Graph, opts core.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if res.Best == nil && !res.Stats.TimedOut {
+	if res.Stats.TimedOut {
+		b.Fatalf("solve timed out after %v; a timeout is not a run time", res.Stats.Elapsed)
+	}
+	if res.Best == nil {
 		b.Fatal("no decomposition")
 	}
 }

@@ -3,32 +3,29 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"time"
 
 	"repro/internal/floorplan"
 	"repro/internal/graph"
+	"repro/internal/iso"
 )
 
 // coster evaluates Equation 5 match costs, remainder costs and the
 // admissible lower bound against the problem's placement and energy model.
 //
-// When built over a frozen ACG the coster carries, per frozen edge id, the
-// two per-edge constants the search needs at every tree node — the
-// admissible lower-bound energy (volume times the straight-line minimum
-// bit energy) and the remainder energy (volume through one dedicated
-// point-to-point link), precomputed once per solve by edgeCostConstants —
-// so the hot mask-based bound and leaf costing are pure array sums over
-// the live-edge bitmask, with no placement or energy model calls inside
-// the search.
+// When built over a frozen ACG the coster carries the per-edge constants
+// of the solve (edgeConsts, computed once by edgeConstants) — the cover
+// floors of the lower bound and the remainder energies — so the hot
+// mask-based bound and leaf costing are pure array sums over the live-edge
+// bitmask, with no placement or energy model calls inside the search.
 type coster struct {
-	p           *Problem
-	cachedRatio float64
+	p *Problem
 
 	facg *graph.Frozen
-	// minEdge[e] / remEdge[e] are the energy-mode per-edge constants; nil
-	// in link mode. nodeScratch is the worker-local active-vertex bitset of
-	// the link-mode lower bound.
-	minEdge     []float64
-	remEdge     []float64
+	edgeConsts
+	// nodeScratch is the worker-local active-vertex bitset of the
+	// link-mode lower bound.
 	nodeScratch []uint64
 
 	// center[i] is the floorplan center of ACG dense index i and placed[i]
@@ -49,16 +46,15 @@ type coster struct {
 	latR0, latRmax, latXmin, latWmin float64
 }
 
-// newCoster builds a coster with the library's cover-per-link ratio
-// precomputed and the per-edge cost constants attached, so the copies
-// handed to concurrent DFS workers never write to themselves on the hot
-// path. minEdge/remEdge are computed once per solve (edgeCostConstants)
-// and shared read-only across workers; nodeScratch is the one mutable
-// member and is per-worker by construction.
-func newCoster(p *Problem, facg *graph.Frozen, minEdge, remEdge []float64) coster {
-	c := coster{p: p, facg: facg, minEdge: minEdge, remEdge: remEdge}
+// newCoster builds a coster with the latency-bound constants precomputed
+// and the per-edge constants attached, so the copies handed to
+// concurrent DFS workers never write to themselves on the hot path. The
+// constants are computed once per solve (edgeConstants) and shared
+// read-only across workers; nodeScratch and the lengths buffer are the
+// mutable members and are per-worker by construction.
+func newCoster(p *Problem, facg *graph.Frozen, k edgeConsts) coster {
+	c := coster{p: p, facg: facg, edgeConsts: k}
 	if p.Library != nil && p.Library.Len() > 0 {
-		c.maxCoverPerLink()
 		c.initLatencyBound()
 	}
 	if facg != nil {
@@ -128,26 +124,193 @@ func (c *coster) initLatencyBound() {
 	}
 }
 
-// edgeCostConstants precomputes, per frozen edge id, the energy-mode
-// admissible lower bound and remainder cost (both nil in link mode, where
-// the mask popcount suffices).
-func edgeCostConstants(p *Problem, facg *graph.Frozen) (minEdge, remEdge []float64) {
-	if p.Options.Mode != CostEnergy {
-		return nil, nil
+// edgeConsts are the per-frozen-edge constants of one solve, shared
+// read-only by every worker's coster.
+//
+// Each edge gets a floor: the least cost any legal decomposition can
+// assign to it. The lower bound at a search node is the sum of the floors
+// of its live edges. The floors come from one enumeration of the library
+// on the full ACG (edgeConstants), and they stay admissible at every node
+// below the root for two reasons. Matching is monomorphism, never induced,
+// so every match the search finds in a remaining graph is also a match in
+// the full ACG. And a match's cost splits over its covered edges: evenly
+// in link mode, and in energy mode one Equation 5 term per representation
+// edge (coreCost sums exactly these terms).
+type edgeConsts struct {
+	// share[e] is the link-mode floor of edge e in units of 1/unit links:
+	// the lowest links·unit/k over the matches that cover e, k being the
+	// primitive's representation edge count, or unit (one remainder link)
+	// when no primitive with fewer links than edges covers it. nil in
+	// energy mode.
+	share []int32
+	unit  int64
+
+	// Energy mode (all nil in link mode): remEdge[e] is the remainder
+	// energy of edge e, one dedicated point-to-point link; floor[e] is the
+	// least of remEdge[e] and the Equation 5 term of e under every
+	// full-ACG matching of every primitive (nil when the enumeration was
+	// truncated); minEdge[e] is the per-edge bound term, the larger of the
+	// straight-line minimum energy and floor[e], scaled by 1−floorMargin.
+	minEdge, remEdge, floor []float64
+}
+
+// floorMargin scales the energy-mode bound terms down, so that a tie
+// between a subtree's bound and its best leaf can never prune that leaf on
+// rounding alone.
+//
+// Why it suffices. floor[e] is computed by the same float operations as
+// the term a leaf adds for e (edgeEnergy, or remEdge), and the
+// straight-line minimum is at most every such term in exact arithmetic —
+// equal to the remainder term on an axis-aligned edge short enough to
+// need no repeater, so it is as tight as a floor. With B the exact sum of
+// the unscaled terms over the live edges and S the exact sum of the terms
+// any completion adds, B ≤ S. Only the rounding differs: the bound check
+// evaluates C + Σ minEdge[e] in mask order, C being the node's cost,
+// while a leaf adds its match and remainder terms to C in path order. A
+// sum of n nonnegative floats is within n·u of its exact value (u = 2⁻⁵³,
+// n ≤ E, the ACG's edge count), so the two sides drift by at most about
+// 2(E+2)·u·(C+S) ≈ 2.2e-16·(E+2)·(C+S) together, against the 1e-9·B the
+// margin removes. The bound therefore never exceeds a leaf below it while
+// (C+S)/B < 4.5e6/(E+2) — spent cost and remaining floor within four
+// decades of each other at E = 400 — and trivially when B = 0 (rounding a
+// sum of nonnegative terms onto C never drops below C). Like the
+// warm-start margin of incumbent.init, the margin is far below any real
+// cost gap, so it costs no pruning that matters.
+const floorMargin = 1e-9
+
+// maxShareUnit caps the link-mode share unit. A library whose edge counts
+// have a larger least common multiple gets its shares rounded down, which
+// keeps the bound admissible.
+const maxShareUnit = 1 << 20
+
+// edgeConstants computes the per-edge constants of one solve. The floors
+// come from enumerating the primitives once on the full ACG with a
+// dedicated VF2 searcher, each enumeration capped at budget raw matchings
+// (0 means unlimited) and at the deadline, tightened by IsoTimeout. When a
+// cap cuts an enumeration short, the floors fall back conservatively: in
+// link mode every edge takes at most that primitive's share, in energy
+// mode the floors are dropped and the straight-line minimum stays.
+func edgeConstants(p *Problem, facg *graph.Frozen, prims []primInfo, budget int, deadline time.Time) edgeConsts {
+	var k edgeConsts
+	var sr iso.Searcher
+	// covers enumerates pi on the full ACG, calling fn with the ACG edge
+	// each raw matching maps representation edge r onto, for every r in
+	// reps, and reports whether the enumeration was complete.
+	covers := func(pi *primInfo, reps []int, fn func(core []int32, r int, e int32)) bool {
+		opts := iso.Options{Limit: budget, Deadline: deadline}
+		if to := p.Options.IsoTimeout; to > 0 {
+			if d := time.Now().Add(to); opts.Deadline.IsZero() || d.Before(opts.Deadline) {
+				opts.Deadline = d
+			}
+		}
+		found, err := sr.FindEach(pi.pat, facg, nil, opts, func(core []int32) {
+			for _, r := range reps {
+				e, _ := facg.EdgeIndexBetween(int(core[pi.from[r]]), int(core[pi.to[r]]))
+				fn(core, r, int32(e))
+			}
+		})
+		return err == nil && (budget <= 0 || found < budget)
 	}
-	c := coster{p: p}
-	e := facg.EdgeCount()
-	minEdge = make([]float64, e)
-	remEdge = make([]float64, e)
+
+	var reps []int
+	if p.Options.Mode != CostEnergy {
+		k.unit = shareUnit(prims)
+		k.share = make([]int32, facg.EdgeCount())
+		for e := range k.share {
+			k.share[e] = int32(k.unit)
+		}
+		for i := range prims {
+			pi := &prims[i]
+			n := int64(len(pi.from))
+			if n == 0 || int64(pi.links) >= n {
+				continue // never cheaper than one remainder link per edge
+			}
+			s := int32(int64(pi.links) * k.unit / n)
+			reps = reps[:0]
+			for r := range pi.from {
+				reps = append(reps, r)
+			}
+			complete := covers(pi, reps, func(_ []int32, _ int, e int32) {
+				k.share[e] = min(k.share[e], s)
+			})
+			if !complete {
+				for e := range k.share {
+					k.share[e] = min(k.share[e], s)
+				}
+			}
+		}
+		return k
+	}
+
+	c := newCoster(p, facg, edgeConsts{})
+	n := facg.EdgeCount()
+	k.minEdge = make([]float64, n)
+	k.remEdge = make([]float64, n)
 	ids := facg.IDs()
-	for i := 0; i < e; i++ {
+	for i := 0; i < n; i++ {
 		from, to := facg.EdgeEndpoints(i)
 		u, v := ids[from], ids[to]
 		vol := facg.Volume(i)
-		minEdge[i] = vol * p.Energy.MinBitEnergy(c.straightLine(u, v))
-		remEdge[i] = p.Energy.TransferEnergy(vol, []float64{c.linkLength(u, v)})
+		k.minEdge[i] = vol * p.Energy.MinBitEnergy(c.straightLine(u, v))
+		k.remEdge[i] = p.Energy.TransferEnergy(vol, []float64{c.linkLength(u, v)})
 	}
-	return minEdge, remEdge
+
+	floor := slices.Clone(k.remEdge)
+	for i := range prims {
+		pi := &prims[i]
+		// A one-hop route's term is the edge's remainder energy, computed
+		// the same way, so only the other edges can lower a floor.
+		reps = reps[:0]
+		for r, route := range pi.routes {
+			if len(route) != 2 {
+				reps = append(reps, r)
+			}
+		}
+		if len(reps) == 0 {
+			continue
+		}
+		complete := covers(pi, reps, func(core []int32, r int, e int32) {
+			if pi.routes[r] == nil {
+				floor[e] = 0 // coreCost adds no term for an unrouted edge
+			} else if t := c.edgeEnergy(pi, core, r, e); t < floor[e] {
+				floor[e] = t
+			}
+		})
+		if !complete {
+			floor = nil
+			break
+		}
+	}
+	k.floor = floor
+	for e := range k.minEdge {
+		if floor != nil {
+			k.minEdge[e] = max(k.minEdge[e], floor[e])
+		}
+		k.minEdge[e] *= 1 - floorMargin
+	}
+	return k
+}
+
+// shareUnit returns the link-mode share unit: the least common multiple
+// of the representation edge counts of the primitives that cover more
+// edges than they spend links on, so that every such share is an exact
+// integer; capped at maxShareUnit.
+func shareUnit(prims []primInfo) int64 {
+	unit := int64(1)
+	for _, pi := range prims {
+		n := int64(len(pi.from))
+		if n == 0 || int64(pi.links) >= n {
+			continue
+		}
+		a, b := unit, n
+		for b != 0 {
+			a, b = b, a%b
+		}
+		if unit = unit / a * n; unit > maxShareUnit {
+			return maxShareUnit
+		}
+	}
+	return unit
 }
 
 // linkLength returns the physical length of a link between cores u and v:
@@ -192,17 +355,24 @@ func (c *coster) coreCost(pi *primInfo, core, ids []int32) float64 {
 	}
 	var total float64
 	for r, route := range pi.routes {
-		if route == nil {
-			continue
+		if route != nil {
+			total += c.edgeEnergy(pi, core, r, ids[r])
 		}
-		lengths := c.lengths[:0]
-		for i := 0; i+1 < len(route); i++ {
-			lengths = append(lengths, c.linkLengthIdx(core[route[i]], core[route[i+1]]))
-		}
-		c.lengths = lengths
-		total += c.p.Energy.TransferEnergy(c.facg.Volume(int(ids[r])), lengths)
 	}
 	return total
+}
+
+// edgeEnergy is representation edge r's Equation 5 term under the raw
+// matching core: the volume of ACG edge e travelling r's route, whose
+// per-hop lengths come from the floorplan. r must have a route.
+func (c *coster) edgeEnergy(pi *primInfo, core []int32, r int, e int32) float64 {
+	route := pi.routes[r]
+	lengths := c.lengths[:0]
+	for i := 0; i+1 < len(route); i++ {
+		lengths = append(lengths, c.linkLengthIdx(core[route[i]], core[route[i+1]]))
+	}
+	c.lengths = lengths
+	return c.p.Energy.TransferEnergy(c.facg.Volume(int(e)), lengths)
 }
 
 // remainderCostMask is remainderCost over the frozen ACG restricted to the
@@ -240,36 +410,46 @@ func (c *coster) remainderCost(r *graph.Graph) float64 {
 
 // lowerBoundMask is lowerBound over the frozen ACG restricted to the
 // live-edge mask (live is the mask's popcount, tracked incrementally by
-// the search) — the form the hot pruning path uses. Link mode walks the
-// live edges once, marking active endpoints in the worker-local scratch
-// bitset; energy mode sums the precomputed per-edge admissible minima.
+// the search) — the form the hot pruning path uses. Energy mode sums the
+// per-edge bound terms minEdge (see edgeConsts). Link mode walks the live
+// edges once, summing their integer shares and marking active endpoints in
+// the worker-local scratch bitset, and takes the largest of three
+// admissible bounds:
+//
+//   - every vertex that still sends or receives needs an incident link,
+//     and one link serves two vertices;
+//   - the cover floors: ceil(Σ share / unit) links. The sum is an exact
+//     integer, so no rounding can prune an optimal tie, and the ceiling is
+//     admissible because every link-mode cost is an integer;
+//   - the latency slack bound below.
 //
 // slack is the remaining weighted extra-hop budget an active MaxLatency
 // ceiling leaves the subtree: MaxLatency·totalWeight − wHops − liveWeight
-// (+Inf when no ceiling is active). In link mode a third admissible bound
-// uses it: covering an edge at better than the hop-free ratio latR0
-// requires a primitive whose routes spend at least latXmin extra hops per
-// covered edge, each weighted at least latWmin — so at most
-// slack/(latXmin·latWmin) edges can be covered at the high ratio latRmax
-// and the rest cost at least 1/latR0 links each. With tight ceilings this
-// term approaches one link per remaining edge, far above the latency-blind
-// ratio bound, which is what lets a warm-started (ε-constraint) solve
-// prune dominated subtrees near the root. Admissibility: any completion
-// partitions live edges into those covered by primitives with ratio ≤
-// latR0 or the remainder (≥ 1/latR0 links each, no slack claimed) and
-// those covered by higher-ratio primitives (≥ 1/latRmax links each, ≥
-// latXmin·latWmin weighted extra hops each, and the total weighted extra
-// hops of a feasible completion cannot exceed slack).
+// (+Inf when no ceiling is active). Covering an edge at better than the
+// hop-free ratio latR0 requires a primitive whose routes spend at least
+// latXmin extra hops per covered edge, each weighted at least latWmin —
+// so at most slack/(latXmin·latWmin) edges can be covered at the high
+// ratio latRmax and the rest cost at least 1/latR0 links each. With tight
+// ceilings this term approaches one link per remaining edge, which is
+// what lets a warm-started (ε-constraint) solve prune dominated subtrees
+// near the root. Admissibility: any completion partitions live edges into
+// those covered by primitives with ratio ≤ latR0 or the remainder (≥
+// 1/latR0 links each, no slack claimed) and those covered by higher-ratio
+// primitives (≥ 1/latRmax links each, ≥ latXmin·latWmin weighted extra
+// hops each, and the total weighted extra hops of a feasible completion
+// cannot exceed slack).
 func (c *coster) lowerBoundMask(mask graph.EdgeMask, live int, slack float64) float64 {
 	if c.p.Options.Mode == CostLinks {
 		for i := range c.nodeScratch {
 			c.nodeScratch[i] = 0
 		}
 		active := 0
+		var shares int64
 		for wi, w := range mask {
 			for w != 0 {
 				e := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
+				shares += int64(c.share[e])
 				from, to := c.facg.EdgeEndpoints(e)
 				if c.nodeScratch[from>>6]&(1<<uint(from&63)) == 0 {
 					c.nodeScratch[from>>6] |= 1 << uint(from&63)
@@ -281,14 +461,7 @@ func (c *coster) lowerBoundMask(mask graph.EdgeMask, live int, slack float64) fl
 				}
 			}
 		}
-		bound := float64((active + 1) / 2)
-		if byRatio := float64(live) / c.maxCoverPerLink(); byRatio > bound {
-			bound = byRatio
-		}
-		if bySlack := c.slackBound(live, slack); bySlack > bound {
-			bound = bySlack
-		}
-		return bound
+		return c.linkBound(active, shares, live, slack)
 	}
 	var total float64
 	for wi, w := range mask {
@@ -298,6 +471,19 @@ func (c *coster) lowerBoundMask(mask graph.EdgeMask, live int, slack float64) fl
 		}
 	}
 	return total
+}
+
+// linkBound combines the three link-mode bounds of lowerBoundMask from
+// the active vertex count, the summed shares and the live edge count.
+func (c *coster) linkBound(active int, shares int64, live int, slack float64) float64 {
+	bound := float64((active + 1) / 2)
+	if byShare := float64((shares + c.unit - 1) / c.unit); byShare > bound {
+		bound = byShare
+	}
+	if bySlack := c.slackBound(live, slack); bySlack > bound {
+		bound = bySlack
+	}
+	return bound
 }
 
 // slackBound is the latency-aware piece of the link-mode lower bound (see
@@ -321,49 +507,49 @@ func (c *coster) slackBound(live int, slack float64) float64 {
 
 // lowerBound is the "minimum remaining cost" of Figure 3: an admissible
 // estimate of the cheapest possible implementation of the remaining graph.
-// Every remaining edge must move v(e) bits between its endpoint cores
-// through at least two switches and wire no shorter than their straight-
-// line separation, regardless of which primitive (or the remainder) ends
-// up carrying it. It is the map-graph reference implementation of
-// lowerBoundMask, kept for the representation-equivalence tests; slack has
-// the same meaning as there.
+// It is the map-graph reference implementation of lowerBoundMask, kept for
+// the representation-equivalence tests, and reads the same cover floors
+// through each edge's frozen id; slack has the same meaning as there. In
+// energy mode it recomputes the straight-line term — every remaining edge
+// must move v(e) bits between its endpoint cores through at least two
+// switches and wire no shorter than their straight-line separation —
+// raises it to the edge's floor and scales it by 1−floorMargin.
 func (c *coster) lowerBound(r *graph.Graph, slack float64) float64 {
 	if c.p.Options.Mode == CostLinks {
-		// Three admissible bounds, combined by max. (1) Every vertex that
-		// still sends or receives needs at least one incident physical
-		// link, and one link serves two vertices. (2) No library primitive
-		// covers more than maxCoverPerLink representation edges per
-		// implementation link, and a remainder edge is 1:1, so covering E
-		// edges needs at least E/maxCoverPerLink links. (3) The latency
-		// slack bound of lowerBoundMask.
 		active := 0
 		for _, n := range r.Nodes() {
 			if r.Degree(n) > 0 {
 				active++
 			}
 		}
-		bound := float64((active + 1) / 2)
-		if byRatio := float64(r.EdgeCount()) / c.maxCoverPerLink(); byRatio > bound {
-			bound = byRatio
+		var shares int64
+		for _, e := range r.Edges() {
+			shares += int64(c.share[c.edgeID(e)])
 		}
-		if bySlack := c.slackBound(r.EdgeCount(), slack); bySlack > bound {
-			bound = bySlack
-		}
-		return bound
+		return c.linkBound(active, shares, r.EdgeCount(), slack)
 	}
 	var total float64
 	for _, e := range r.Edges() {
-		total += e.Volume * c.p.Energy.MinBitEnergy(c.straightLine(e.From, e.To))
+		lb := e.Volume * c.p.Energy.MinBitEnergy(c.straightLine(e.From, e.To))
+		if c.floor != nil {
+			lb = max(lb, c.floor[c.edgeID(e)])
+		}
+		total += lb * (1 - floorMargin)
 	}
 	return total
+}
+
+// edgeID returns the frozen edge id of e, which must be an ACG edge.
+func (c *coster) edgeID(e graph.Edge) int {
+	from, _ := c.facg.IndexOf(e.From)
+	to, _ := c.facg.IndexOf(e.To)
+	id, _ := c.facg.EdgeIndexBetween(from, to)
+	return id
 }
 
 // maxCoverPerLink returns the best edges-covered-per-link ratio any
 // library primitive achieves (at least 1, the remainder's ratio).
 func (c *coster) maxCoverPerLink() float64 {
-	if c.cachedRatio > 0 {
-		return c.cachedRatio
-	}
 	best := 1.0
 	for _, p := range c.p.Library.Primitives() {
 		if links := p.ImplLinkCount(); links > 0 {
@@ -372,7 +558,6 @@ func (c *coster) maxCoverPerLink() float64 {
 			}
 		}
 	}
-	c.cachedRatio = best
 	return best
 }
 

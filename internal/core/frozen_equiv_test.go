@@ -56,25 +56,33 @@ func TestSolverFrozenRoundTripIdentical(t *testing.T) {
 
 // The mask-based bound and remainder costing must agree exactly with the
 // map-graph reference implementations on random live-edge subsets, in both
-// cost modes.
+// cost modes, with the coster carrying the solve's cover floors. The AES
+// ACG joins the random graphs so that link-mode shares below one link
+// are exercised.
 func TestMaskCosterMatchesGraphCoster(t *testing.T) {
 	lib := primitives.MustDefault()
+	prims := testPrims(t, lib)
+	var graphs []*graph.Graph
+	for seed := int64(0); seed < 8; seed++ {
+		acg, err := randgraph.ErdosRenyi(12, 0.3, 8, 64, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, acg)
+	}
+	graphs = append(graphs, aesACG(8, 1))
 	for _, mode := range []CostMode{CostLinks, CostEnergy} {
-		for seed := int64(0); seed < 8; seed++ {
-			acg, err := randgraph.ErdosRenyi(12, 0.3, 8, 64, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for i, acg := range graphs {
+			seed := int64(i)
 			p := &Problem{
 				ACG:       acg,
 				Library:   lib,
-				Placement: floorplan.Grid(12, 1, 1, 0.2),
+				Placement: floorplan.Grid(acg.NodeCount(), 1, 1, 0.2),
 				Energy:    energy.Tech180,
 				Options:   Options{Mode: mode},
 			}
 			facg := acg.Freeze()
-			minE, remE := edgeCostConstants(p, facg)
-			c := newCoster(p, facg, minE, remE)
+			c := newCoster(p, facg, edgeConstants(p, facg, prims, 0, time.Time{}))
 			rng := rand.New(rand.NewSource(seed))
 			mask := graph.FullEdgeMask(facg.EdgeCount())
 			for e := 0; e < facg.EdgeCount(); e++ {

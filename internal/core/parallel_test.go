@@ -132,12 +132,15 @@ func TestSolverParallelMatchesSerialUnderCacheAblation(t *testing.T) {
 // this into the required race check — and sanity-checks the hit counters.
 func TestMatchCacheSharedAcrossWorkers(t *testing.T) {
 	// IsoCacheMinCost -1 retains every result, making hit counts a
-	// deterministic property of the instance rather than of timing.
+	// deterministic property of the instance rather than of timing. The
+	// cover-floor bound proves the AES optimum within a few dozen nodes
+	// that never revisit a remaining graph, so the bound is off here: the
+	// exhaustive tree reconverges on remaining graphs and hits the cache.
 	res, err := Solve(Problem{
 		ACG:     aesACG(8, 1),
 		Library: primitives.MustDefault(),
 		Energy:  energy.Tech180,
-		Options: Options{Mode: CostLinks, Timeout: 60 * time.Second, Parallelism: 8, IsoCacheMinCost: -1},
+		Options: Options{Mode: CostLinks, Timeout: 60 * time.Second, Parallelism: 8, IsoCacheMinCost: -1, DisableBound: true},
 	})
 	if err != nil {
 		t.Fatal(err)

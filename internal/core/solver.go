@@ -127,14 +127,13 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 }
 
 // newShared freezes the problem into the read-only per-solve state every
-// worker shares: the CSR ACG, its per-edge cost, latency and signature
-// tables, the library in dense pattern form, the effective deadline and
-// limits, and the match cache.
+// worker shares: the CSR ACG, its per-edge cover floors, cost, latency and
+// signature tables, the library in dense pattern form, the effective
+// deadline and limits, and the match cache.
 func newShared(ctx context.Context, p *Problem) (*shared, error) {
 	sh := &shared{p: p, ctx: ctx, start: time.Now()}
 	sh.facg = p.ACG.Freeze()
 	sh.fullMask = graph.FullEdgeMask(sh.facg.EdgeCount())
-	sh.minEdge, sh.remEdge = edgeCostConstants(p, sh.facg)
 	sh.latWeight, sh.totalWeight = latencyWeights(sh.facg)
 	sh.edgeHash = edgeHashes(sh.facg)
 	sh.prims = make([]primInfo, p.Library.Len())
@@ -159,6 +158,13 @@ func newShared(ctx context.Context, p *Problem) (*shared, error) {
 	if sh.isoLimit == 0 {
 		sh.isoLimit = DefaultIsoLimit
 	}
+	// The cover floors enumerate each primitive once on the full ACG, with
+	// a raw-matching budget of IsoLimit per ACG edge.
+	budget := 0
+	if sh.isoLimit > 0 {
+		budget = sh.isoLimit * sh.facg.EdgeCount()
+	}
+	sh.consts = edgeConstants(p, sh.facg, sh.prims, budget, sh.deadline)
 	if !p.Options.DisableIsoCache {
 		if p.Options.MatchCache != nil {
 			sh.cache = p.Options.MatchCache.inner
@@ -187,9 +193,9 @@ type shared struct {
 	prims    []primInfo
 	edgeHash []graphSig
 
-	// minEdge/remEdge are the energy-mode per-edge cost constants, shared
-	// read-only by every worker's coster (nil in link mode).
-	minEdge, remEdge []float64
+	// consts are the per-edge cover floors and remainder costs, shared
+	// read-only by every worker's coster.
+	consts edgeConsts
 
 	// latWeight[e] is edge e's weight in the latency objective (its
 	// volume, or 1 for every edge when the ACG carries no volume at all);
@@ -213,7 +219,7 @@ type shared struct {
 }
 
 func (sh *shared) newWorker() *worker {
-	w := &worker{sh: sh, coster: newCoster(sh.p, sh.facg, sh.minEdge, sh.remEdge)}
+	w := &worker{sh: sh, coster: newCoster(sh.p, sh.facg, sh.consts)}
 	w.visitFn = w.visit
 	return w
 }

@@ -26,6 +26,14 @@ raw=$(go test -run '^$' \
     -bench 'BenchmarkSolverParallelism|BenchmarkVF2GossipInAES|BenchmarkFig6_AESDecomposition|BenchmarkTableAES_Mesh|BenchmarkSweepUniformMesh|BenchmarkFrontierAES' \
     -benchmem -benchtime "$benchtime" -count "$count" .)
 
+# Figure 4b at the two largest sizes: 30- and 40-node Pajek-style random
+# graphs in link mode, the instances the paper solves in under 3
+# minutes. solveOnce fails a timed-out solve, so a recorded figure is
+# always a proven optimum.
+raw_fig4b=$(go test -run '^$' \
+    -bench 'BenchmarkFig4b_Pajek/^n(30|40)$' \
+    -benchmem -benchtime "$benchtime" -count "$count" .)
+
 # Simulator-kernel and routing-pipeline trajectory: idle-cycle cost at
 # 16 and 1000 routers, the allocation-free compiled-route injection
 # path, a warm Reset rate point, a pooled 1k-router batch sweep point,
@@ -47,6 +55,7 @@ raw_service=$(go test -run '^$' \
     -benchmem -benchtime "$benchtime" -count "$count" ./internal/service)
 
 echo "$raw" >&2
+echo "$raw_fig4b" >&2
 echo "$raw_kernel" >&2
 echo "$raw_service" >&2
 
@@ -110,7 +119,7 @@ entry_json=$(mktemp)
     echo "  \"count\": $count,"
     echo "  \"host\": {\"cpu\": \"$cpu_model\", \"nproc\": $host_nproc, \"gomaxprocs\": $host_gomaxprocs, \"go\": \"$host_go\"},"
     echo '  "results": ['
-    echo "$raw" | tojson
+    printf '%s\n%s\n' "$raw" "$raw_fig4b" | tojson
     echo '  ],'
     echo '  "kernel_results": ['
     echo "$raw_kernel" | tojson
