@@ -784,38 +784,6 @@ func BenchmarkSolverParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIsoCache quantifies the memoized match cache on the AES
-// decomposition and on a 30-node scale-free graph, serially: identical
-// search, every enumeration re-run from scratch vs served from the cache.
-func BenchmarkAblationIsoCache(b *testing.B) {
-	ba30, err := randgraph.BarabasiAlbert(30, 2, 8, 64, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, g := range []struct {
-		name string
-		acg  *Graph
-	}{{"aes", AESACG(0.1)}, {"ba30", ba30}} {
-		for _, disabled := range []bool{false, true} {
-			name := g.name + "/on"
-			if disabled {
-				name = g.name + "/off"
-			}
-			b.Run(name, func(b *testing.B) {
-				opts := core.Options{
-					Mode:            core.CostLinks,
-					Timeout:         60 * time.Second,
-					Parallelism:     1,
-					DisableIsoCache: disabled,
-				}
-				for i := 0; i < b.N; i++ {
-					solveOnce(b, g.acg, opts)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkVF2GossipInAES measures the raw matcher on the hottest pattern
 // of the AES decomposition: enumerating every MGG4 embedding in the ACG.
 func BenchmarkVF2GossipInAES(b *testing.B) {

@@ -542,8 +542,6 @@ type batchResult struct {
 	Feasible       bool    `json:"feasible"`
 	NodesExplored  int     `json:"nodesExplored"`
 	BranchesPruned int     `json:"branchesPruned"`
-	IsoCacheHits   int     `json:"isoCacheHits"`
-	IsoCacheMisses int     `json:"isoCacheMisses"`
 	SolverWorkers  int     `json:"solverWorkers"`
 	TimedOut       bool    `json:"timedOut"`
 	Canceled       bool    `json:"canceled"`
@@ -844,8 +842,6 @@ func runScenario(ctx context.Context, sc scenario, sweepPatterns []string) batch
 	}
 	r.NodesExplored = res.Stats.NodesExplored
 	r.BranchesPruned = res.Stats.BranchesPruned
-	r.IsoCacheHits = res.Stats.IsoCacheHits
-	r.IsoCacheMisses = res.Stats.IsoCacheMisses
 	r.SolverWorkers = res.Stats.Workers
 	r.TimedOut = res.Stats.TimedOut
 	r.Canceled = res.Stats.Canceled
@@ -941,8 +937,6 @@ func runScenarioRemote(ctx context.Context, serveURL string, sc scenario, sweepP
 	}
 	r.NodesExplored = res.Stats.NodesExplored
 	r.BranchesPruned = res.Stats.BranchesPruned
-	r.IsoCacheHits = res.Stats.IsoCacheHits
-	r.IsoCacheMisses = res.Stats.IsoCacheMisses
 	r.SolverWorkers = res.Stats.Workers
 	r.TimedOut = res.Stats.TimedOut
 	r.Canceled = res.Stats.Canceled
@@ -957,9 +951,9 @@ func runScenarioRemote(ctx context.Context, serveURL string, sc scenario, sweepP
 // runTableFrontier regenerates the EXPERIMENTS.md ε-constraint frontier
 // tables: for each scenario the warm-started sweep (internal/frontier)
 // enumerates the cost-vs-latency Pareto frontier, and every grid solve is
-// re-run cold (no incumbent seed, fresh match cache) to measure what the
-// warm start saves. AES additionally carries the simulated zero-load
-// latency of each point (noc.Batch at a near-zero injection rate).
+// re-run cold (no incumbent seed) to measure what the warm start saves.
+// AES additionally carries the simulated zero-load latency of each point
+// (noc.Batch at a near-zero injection rate).
 func runTableFrontier(ctx context.Context) {
 	scenarios := []struct {
 		name     string
@@ -1009,7 +1003,7 @@ func runTableFrontier(ctx context.Context) {
 		emittedIdx := 0
 		for _, gp := range res.Grid {
 			// Cold reference: same ε ceiling (slack applied exactly as the
-			// sweep applies it), no incumbent seed, private match cache.
+			// sweep applies it), no incumbent seed.
 			cold := base
 			cold.MaxLatency = gp.Epsilon * (1 + 1e-12)
 			coldStart := time.Now()

@@ -157,10 +157,9 @@ func main() {
 	}
 	check(err)
 
-	fmt.Printf("synthesized %q in %.3f s (%d workers, %d tree nodes, %d pruned, iso cache %d/%d hits, timed out: %v, interrupted: %v)\n\n",
+	fmt.Printf("synthesized %q in %.3f s (%d workers, %d tree nodes, %d pruned, timed out: %v, interrupted: %v)\n\n",
 		acg.Name(), time.Since(start).Seconds(),
 		res.Stats.Workers, res.Stats.NodesExplored, res.Stats.BranchesPruned,
-		res.Stats.IsoCacheHits, res.Stats.IsoCacheHits+res.Stats.IsoCacheMisses,
 		res.Stats.TimedOut, res.Stats.Canceled)
 	fmt.Print(res.Decomposition.PaperListing())
 	fmt.Printf("\n%s", res.Architecture.Describe())

@@ -14,9 +14,9 @@ import (
 
 // BenchmarkFrontierAES measures one warm-started ε-constraint frontier
 // sweep of the AES ACG in links mode (4-value grid: anchor + three
-// constrained solves, each seeded with its predecessor's cost and
-// sharing one match cache). This is the headline workload of the PR 8
-// frontier subsystem — the number bench_check.sh guards.
+// constrained solves, each seeded with its predecessor's cost). This is
+// the headline workload of the frontier subsystem — the number
+// bench_check.sh guards.
 func BenchmarkFrontierAES(b *testing.B) {
 	acg := repro.AESACG(0.1)
 	for i := 0; i < b.N; i++ {

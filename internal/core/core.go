@@ -232,18 +232,12 @@ type Options struct {
 	// identical at every worker count (ties broken by candRank order).
 	// Zero means GOMAXPROCS; 1 forces the serial search.
 	Parallelism int
-	// DisableIsoCache turns off the memoized VF2 match cache (ablation).
-	// Without the cache every enumerate call re-runs subgraph isomorphism
-	// from scratch.
+	// Deprecated: ignored. The solver no longer has a match cache; every
+	// enumeration runs fresh.
 	DisableIsoCache bool
-	// IsoCacheEntries caps the match cache size. Zero means the default
-	// of 1<<15 entries.
+	// Deprecated: ignored.
 	IsoCacheEntries int
-	// IsoCacheMinCost, when positive, retains in the match cache only the
-	// results whose enumeration took at least this long. Zero or negative
-	// retains every result, the measured default: cached candidate lists
-	// are a few small records, and hits pay on the scale-free and
-	// frontier workloads (see the match-cache notes in DESIGN.md).
+	// Deprecated: ignored.
 	IsoCacheMinCost time.Duration
 	// MaxLatency constrains the decomposition's volume-weighted average
 	// hop latency (Decomposition.AvgHops): subtrees that cannot finish at
@@ -268,14 +262,7 @@ type Options struct {
 	// seed itself remains the answer at this constraint). Zero disables
 	// seeding.
 	InitialBound float64
-	// MatchCache, when non-nil, replaces the per-solve memoized candidate
-	// cache with a shared one, so consecutive solves over the same ACG,
-	// library, placement, energy model and match limits — the frontier
-	// sweep's adjacent ε-points — reuse each other's enumerations.
-	// Candidate lists are independent of MaxLatency and InitialBound, so
-	// sharing across points is sound; sharing across solves that differ
-	// in any answer-shaping coordinate is not. Ignored when
-	// DisableIsoCache is set.
+	// Deprecated: ignored.
 	MatchCache *MatchCache
 }
 
@@ -304,8 +291,8 @@ type Stats struct {
 	Canceled bool
 	// Workers is the number of DFS workers the search actually used.
 	Workers int
-	// IsoCacheHits / IsoCacheMisses count memoized match-cache lookups;
-	// both are zero when Options.DisableIsoCache is set.
+	// IsoCacheHits / IsoCacheMisses are always zero: the solver no longer
+	// has a match cache. They stay for the wire format.
 	IsoCacheHits   int
 	IsoCacheMisses int
 	Elapsed        time.Duration

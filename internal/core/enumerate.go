@@ -86,23 +86,9 @@ type coverRec struct {
 // arenas. Only the at most MatchLimit survivors become Mappings, rank
 // strings and candidate records.
 //
-// The whole result is memoized in the shared match cache, keyed by
-// primitive index plus the incremental signature of the remaining graph:
-// distinct match orders reconverge on the same remaining graph, and a hit
-// skips the VF2 enumeration and the costing and dedup behind it. Caching
-// the finished candidate list rather than the raw matching set keeps the
-// retained memory per entry tiny.
-func (w *worker) enumerate(primIdx int, mask graph.EdgeMask, sig graphSig) []candidate {
-	cacheKey := matchKey{prim: primIdx, sig: sig}
-	var missStart time.Time
-	if w.sh.cache != nil {
-		if cands, ok := w.sh.cache.get(cacheKey); ok {
-			return cands
-		}
-		if w.sh.cacheMinCost > 0 {
-			missStart = time.Now()
-		}
-	}
+// As in the paper's Figure 3, every tree node runs its isomorphism search
+// afresh; nothing is memoized across nodes or solves.
+func (w *worker) enumerate(primIdx int, mask graph.EdgeMask) []candidate {
 	opts := iso.Options{}
 	if w.sh.isoLimit > 0 {
 		opts.Limit = w.sh.isoLimit
@@ -116,6 +102,8 @@ func (w *worker) enumerate(primIdx int, mask graph.EdgeMask, sig graphSig) []can
 	pi := &w.sh.prims[primIdx]
 	w.cur = pi
 	defer w.resetArena()
+	// A deadline may truncate the enumeration: the matchings found so far
+	// are still usable at this node.
 	found, err := w.search.FindEach(pi.pat, w.sh.facg, mask, opts, w.visitFn)
 	if err != nil && found == 0 {
 		return nil
@@ -143,12 +131,6 @@ func (w *worker) enumerate(primIdx int, mask graph.EdgeMask, sig graphSig) []can
 	cands := make([]candidate, len(order))
 	for i, j := range order {
 		cands[i] = w.candidateOf(primIdx, pi, int(j))
-	}
-	if w.sh.cache != nil && err == nil && (w.sh.cacheMinCost == 0 || time.Since(missStart) >= w.sh.cacheMinCost) {
-		// err != nil means a deadline truncated the enumeration: the list
-		// is usable for this node but must not be served as complete
-		// later.
-		w.sh.cache.put(cacheKey, cands)
 	}
 	return cands
 }
@@ -221,7 +203,6 @@ func (w *worker) candidateOf(primIdx int, pi *primInfo, j int) candidate {
 	return candidate{
 		match:      Match{Primitive: pi.prim, Mapping: mapping, Cost: w.recs[j].cost},
 		coveredIDs: ids,
-		coverSig:   w.recs[j].sig,
 		rank:       candRank(primIdx, facg, ids),
 		wHops:      wh,
 		weight:     wt,

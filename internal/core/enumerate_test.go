@@ -143,7 +143,7 @@ func diffGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // The dense enumerate must return exactly the candidate list of the
-// map-graph reference pipeline — covered edges, ids, signature, rank,
+// map-graph reference pipeline — covered edges, ids, rank,
 // cost bits, latency sums and Mapping — for every primitive, over full and
 // random live masks, in both cost modes and at every match cap.
 func TestEnumerateMatchesReference(t *testing.T) {
@@ -156,7 +156,7 @@ func TestEnumerateMatchesReference(t *testing.T) {
 					Library:   lib,
 					Placement: floorplan.Grid(g.NodeCount(), 1, 1, 0.2),
 					Energy:    energy.Tech180,
-					Options:   Options{Mode: mode, MatchLimit: limit, DisableIsoCache: true},
+					Options:   Options{Mode: mode, MatchLimit: limit},
 				}
 				sh, err := newShared(context.Background(), &p)
 				if err != nil {
@@ -175,12 +175,11 @@ func TestEnumerateMatchesReference(t *testing.T) {
 					masks = append(masks, m)
 				}
 				for mi, mask := range masks {
-					sig := graphSigOf(sh.facg.Materialize(mask))
 					for primIdx := range lib.Primitives() {
 						where := fmt.Sprintf("%s mode %d limit %d mask %d prim %s", name, mode, limit, mi, lib.Primitives()[primIdx].Name)
 						want := referenceEnumerate(sh, &w.coster, primIdx, mask)
-						got := w.enumerate(primIdx, mask, sig)
-						compareCandidates(t, where, sh, primIdx, got, want, true)
+						got := w.enumerate(primIdx, mask)
+						compareCandidates(t, where, sh, primIdx, got, want)
 					}
 				}
 			}
@@ -188,9 +187,8 @@ func TestEnumerateMatchesReference(t *testing.T) {
 	}
 }
 
-// compareCandidates asserts got equals the reference list; checkSig also
-// requires each cover signature to be the XOR of its edges' hashes.
-func compareCandidates(t *testing.T, where string, sh *shared, primIdx int, got []candidate, want []refCand, checkSig bool) {
+// compareCandidates asserts got equals the reference list.
+func compareCandidates(t *testing.T, where string, sh *shared, primIdx int, got []candidate, want []refCand) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d candidates, reference %d", where, len(got), len(want))
@@ -198,19 +196,15 @@ func compareCandidates(t *testing.T, where string, sh *shared, primIdx int, got 
 	for i := range got {
 		g, r := got[i], want[i]
 		covered := make([][2]graph.NodeID, len(g.coveredIDs))
-		var sig graphSig
 		for j, e := range g.coveredIDs {
 			ed := sh.facg.EdgeAt(int(e))
 			covered[j] = [2]graph.NodeID{ed.From, ed.To}
-			sig = sig.xor(edgeSig(ed.From, ed.To))
 		}
 		switch {
 		case !slices.Equal(covered, r.covered):
 			t.Fatalf("%s cand %d: covered %v, reference %v", where, i, covered, r.covered)
 		case !slices.Equal(g.coveredIDs, r.ids):
 			t.Fatalf("%s cand %d: ids %v, reference %v", where, i, g.coveredIDs, r.ids)
-		case checkSig && g.coverSig != sig:
-			t.Fatalf("%s cand %d: cover signature is not the XOR of its edges", where, i)
 		case g.rank != string([]byte{byte(primIdx >> 8), byte(primIdx)})+refCoverKey(r.covered):
 			t.Fatalf("%s cand %d: rank differs from the reference cover key", where, i)
 		case math.Float64bits(g.match.Cost) != math.Float64bits(r.match.Cost):
@@ -238,7 +232,7 @@ func TestEnumerateSignatureCollisionsNeverMerge(t *testing.T) {
 				Library:   lib,
 				Placement: floorplan.Grid(g.NodeCount(), 1, 1, 0.2),
 				Energy:    energy.Tech180,
-				Options:   Options{Mode: mode, MatchLimit: -1, DisableIsoCache: true},
+				Options:   Options{Mode: mode, MatchLimit: -1},
 			}
 			sh, err := newShared(context.Background(), &p)
 			if err != nil {
@@ -248,14 +242,14 @@ func TestEnumerateSignatureCollisionsNeverMerge(t *testing.T) {
 			w := sh.newWorker()
 			for primIdx, prim := range lib.Primitives() {
 				want := referenceEnumerate(sh, &w.coster, primIdx, sh.fullMask)
-				got := w.enumerate(primIdx, sh.fullMask, graphSig{})
-				compareCandidates(t, fmt.Sprintf("%s mode %d prim %s", name, mode, prim.Name), sh, primIdx, got, want, false)
+				got := w.enumerate(primIdx, sh.fullMask)
+				compareCandidates(t, fmt.Sprintf("%s mode %d prim %s", name, mode, prim.Name), sh, primIdx, got, want)
 			}
 		}
 	}
 }
 
-// A cache-missing enumerate allocates only its surviving candidates: a
+// An enumerate allocates only its surviving candidates: a
 // regression that builds a Mapping, covered slice or key per raw VF2
 // matching (MGG4 has hundreds on the AES graph) fails this bound.
 func TestEnumerateAllocs(t *testing.T) {
@@ -265,24 +259,23 @@ func TestEnumerateAllocs(t *testing.T) {
 		ACG:     aesACG(8, 1),
 		Library: lib,
 		Energy:  energy.Tech180,
-		Options: Options{Mode: CostLinks, Parallelism: 1, DisableIsoCache: true},
+		Options: Options{Mode: CostLinks, Parallelism: 1},
 	}
 	sh, err := newShared(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := sh.newWorker()
-	root := graphSigOfFrozen(sh.facg)
 	var n int
 	allocs := testing.AllocsPerRun(20, func() {
-		n = len(w.enumerate(primIdx, sh.fullMask, root))
+		n = len(w.enumerate(primIdx, sh.fullMask))
 	})
 	if n != 1 {
 		t.Fatalf("MGG4 on AES: %d candidates, want 1 (the default match cap)", n)
 	}
 	const bound = 16
 	if allocs > bound {
-		t.Fatalf("cache-missing MGG4 enumerate allocates %v times per call, bound %d", allocs, bound)
+		t.Fatalf("MGG4 enumerate allocates %v times per call, bound %d", allocs, bound)
 	}
 }
 

@@ -97,62 +97,24 @@ func TestSolverParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSolverParallelMatchesSerialUnderCacheAblation re-checks determinism
-// with the match cache disabled, separating the two tentpole mechanisms.
-func TestSolverParallelMatchesSerialUnderCacheAblation(t *testing.T) {
-	g := aesACG(8, 1)
-	var listings []string
-	for _, par := range []int{1, 8} {
-		res, err := Solve(Problem{
-			ACG:     g,
-			Library: primitives.MustDefault(),
-			Energy:  energy.Tech180,
-			Options: Options{
-				Mode:            CostLinks,
-				Timeout:         60 * time.Second,
-				Parallelism:     par,
-				DisableIsoCache: true,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.IsoCacheHits != 0 || res.Stats.IsoCacheMisses != 0 {
-			t.Fatalf("cache counters nonzero with cache disabled: %+v", res.Stats)
-		}
-		listings = append(listings, res.Best.PaperListing())
-	}
-	if listings[0] != listings[1] {
-		t.Fatalf("decompositions differ without cache:\n%s\nvs\n%s", listings[0], listings[1])
-	}
-}
-
-// TestMatchCacheSharedAcrossWorkers exercises the memoized match cache
-// from many concurrent DFS workers — `go test -race ./internal/core` turns
-// this into the required race check — and sanity-checks the hit counters.
-func TestMatchCacheSharedAcrossWorkers(t *testing.T) {
-	// IsoCacheMinCost -1 retains every result, making hit counts a
-	// deterministic property of the instance rather than of timing. The
-	// cover-floor bound proves the AES optimum within a few dozen nodes
-	// that never revisit a remaining graph, so the bound is off here: the
-	// exhaustive tree reconverges on remaining graphs and hits the cache.
+// TestConcurrentSolvesIndependent runs many DFS workers over the
+// exhaustive AES tree, then several solves at once over one problem —
+// `go test -race ./internal/core` turns this into the worker pool's race
+// check — and requires the published AES cost from each.
+func TestConcurrentSolvesIndependent(t *testing.T) {
+	// The cover-floor bound proves the AES optimum within a few dozen
+	// nodes, so the bound is off here to keep eight workers busy.
 	res, err := Solve(Problem{
 		ACG:     aesACG(8, 1),
 		Library: primitives.MustDefault(),
 		Energy:  energy.Tech180,
-		Options: Options{Mode: CostLinks, Timeout: 60 * time.Second, Parallelism: 8, IsoCacheMinCost: -1, DisableBound: true},
+		Options: Options{Mode: CostLinks, Timeout: 60 * time.Second, Parallelism: 8, DisableBound: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Best == nil || res.Best.Cost != 28 {
 		t.Fatalf("unexpected AES decomposition: %+v", res.Best)
-	}
-	if res.Stats.IsoCacheMisses == 0 {
-		t.Fatal("cache recorded no misses — not consulted at all?")
-	}
-	if res.Stats.IsoCacheHits == 0 {
-		t.Fatal("cache recorded no hits on the AES instance")
 	}
 	// Concurrent solves over one shared problem must also be independent.
 	var wg sync.WaitGroup
@@ -172,6 +134,42 @@ func TestMatchCacheSharedAcrossWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDeprecatedCacheOptionsInert pins the four former match-cache
+// options as no-ops: setting all of them changes neither the serial AES
+// search nor its result, and no solve reports a cache lookup.
+func TestDeprecatedCacheOptionsInert(t *testing.T) {
+	solve := func(opts Options) Result {
+		t.Helper()
+		opts.Mode, opts.Timeout, opts.Parallelism = CostLinks, 60*time.Second, 1
+		res, err := Solve(Problem{ACG: aesACG(8, 1), Library: primitives.MustDefault(), Energy: energy.Tech180, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best == nil {
+			t.Fatal("no AES decomposition")
+		}
+		return res
+	}
+	mc := NewMatchCache(4)
+	ref := solve(Options{})
+	got := solve(Options{DisableIsoCache: true, IsoCacheEntries: 1, IsoCacheMinCost: time.Hour, MatchCache: mc})
+	if g, w := got.Best.PaperListing(), ref.Best.PaperListing(); g != w {
+		t.Fatalf("deprecated options changed the decomposition:\n%s\nvs default:\n%s", g, w)
+	}
+	if got.Stats.NodesExplored != ref.Stats.NodesExplored || got.Stats.BranchesPruned != ref.Stats.BranchesPruned {
+		t.Fatalf("deprecated options changed the search: %d nodes / %d pruned, default %d / %d",
+			got.Stats.NodesExplored, got.Stats.BranchesPruned, ref.Stats.NodesExplored, ref.Stats.BranchesPruned)
+	}
+	for name, st := range map[string]Stats{"default": ref.Stats, "deprecated options": got.Stats} {
+		if st.IsoCacheHits != 0 || st.IsoCacheMisses != 0 {
+			t.Fatalf("%s solve reports cache lookups: %d hits, %d misses", name, st.IsoCacheHits, st.IsoCacheMisses)
+		}
+	}
+	if hits, misses := mc.Counters(); hits != 0 || misses != 0 {
+		t.Fatalf("MatchCache counters %d/%d, want 0/0", hits, misses)
+	}
 }
 
 // TestSolveContextCancel verifies that a canceled context stops the search

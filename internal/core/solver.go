@@ -65,12 +65,6 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// A shared cache carries counters from earlier solves; snapshot them
-	// so Stats reports this solve's hits and misses, not the sweep's.
-	var hits0, misses0 uint64
-	if sh.cache != nil {
-		hits0, misses0 = sh.cache.hits.Load(), sh.cache.misses.Load()
-	}
 	// Figure 3: currentCost = 0; minCost = inf (or the warm-start seed).
 	sh.inc.init(p.Options.InitialBound)
 
@@ -118,18 +112,14 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 	stats.Workers = len(workers)
 	stats.TimedOut = sh.timedOut.Load()
 	stats.Canceled = sh.canceled.Load()
-	if sh.cache != nil {
-		stats.IsoCacheHits = int(sh.cache.hits.Load() - hits0)
-		stats.IsoCacheMisses = int(sh.cache.misses.Load() - misses0)
-	}
 	stats.Elapsed = time.Since(sh.start)
 	return Result{Best: sh.inc.take(), Stats: stats}, nil
 }
 
 // newShared freezes the problem into the read-only per-solve state every
 // worker shares: the CSR ACG, its per-edge cover floors, cost, latency and
-// signature tables, the library in dense pattern form, the effective
-// deadline and limits, and the match cache.
+// signature tables, the library in dense pattern form, and the effective
+// deadline and limits.
 func newShared(ctx context.Context, p *Problem) (*shared, error) {
 	sh := &shared{p: p, ctx: ctx, start: time.Now()}
 	sh.facg = p.ACG.Freeze()
@@ -165,20 +155,12 @@ func newShared(ctx context.Context, p *Problem) (*shared, error) {
 		budget = sh.isoLimit * sh.facg.EdgeCount()
 	}
 	sh.consts = edgeConstants(p, sh.facg, sh.prims, budget, sh.deadline)
-	if !p.Options.DisableIsoCache {
-		if p.Options.MatchCache != nil {
-			sh.cache = p.Options.MatchCache.inner
-		} else {
-			sh.cache = newMatchCache(p.Options.IsoCacheEntries)
-		}
-		sh.cacheMinCost = max(p.Options.IsoCacheMinCost, 0)
-	}
 	return sh, nil
 }
 
 // shared is the state all DFS workers of one solve see: the read-only
-// problem, its frozen CSR form, the deadline/cancellation signals, the
-// memoized match cache and the incumbent best decomposition.
+// problem, its frozen CSR form, the deadline/cancellation signals and the
+// incumbent best decomposition.
 type shared struct {
 	p   *Problem
 	ctx context.Context
@@ -208,10 +190,8 @@ type shared struct {
 	deadline   time.Time
 	start      time.Time
 
-	cache        *matchCache
-	cacheMinCost time.Duration
-	inc          incumbent
-	next         atomic.Int64 // index of the next unclaimed root branch
+	inc  incumbent
+	next atomic.Int64 // index of the next unclaimed root branch
 
 	stop     atomic.Bool
 	timedOut atomic.Bool
@@ -268,34 +248,26 @@ func (w *worker) stopped() bool {
 	return false
 }
 
-// branch is one top-level work unit: a candidate expansion of the root.
-type branch struct {
-	cand candidate
-	sig  graphSig // signature of the ACG minus the branch's covered edges
-}
-
 // collectRootBranches mirrors the expansion step of dfs at the tree root,
-// where minRank is empty so every candidate of every primitive branches.
-func (w *worker) collectRootBranches() []branch {
+// where minRank is empty so every candidate of every primitive branches:
+// each one is a top-level work unit.
+func (w *worker) collectRootBranches() []candidate {
 	sh := w.sh
 	live := sh.facg.EdgeCount()
 	nodes := sh.facg.NodeCount()
-	rootSig := graphSigOfFrozen(sh.facg)
-	var out []branch
+	var out []candidate
 	for primIdx, prim := range sh.p.Library.Primitives() {
 		if live < prim.Rep.EdgeCount() || nodes < prim.Size {
 			continue
 		}
-		for _, cand := range w.enumerate(primIdx, sh.fullMask, rootSig) {
-			out = append(out, branch{cand: cand, sig: rootSig.xor(cand.coverSig)})
-		}
+		out = append(out, w.enumerate(primIdx, sh.fullMask)...)
 	}
 	return out
 }
 
 // run claims root branches until none remain, exploring each subtree
 // depth-first.
-func (w *worker) run(branches []branch) {
+func (w *worker) run(branches []candidate) {
 	for {
 		i := int(w.sh.next.Add(1)) - 1
 		if i >= len(branches) {
@@ -306,10 +278,10 @@ func (w *worker) run(branches []branch) {
 		}
 		b := branches[i]
 		w.stats.MatchingsTried++
-		m := b.cand.match
+		m := b.match
 		m.Depth = 0
-		mask := w.sh.fullMask.Without(b.cand.coveredIDs)
-		w.dfs(mask, w.sh.facg.EdgeCount()-len(b.cand.coveredIDs), b.sig, []Match{m}, []string{b.cand.rank}, m.Cost, b.cand.wHops, w.sh.totalWeight-b.cand.weight)
+		mask := w.sh.fullMask.Without(b.coveredIDs)
+		w.dfs(mask, w.sh.facg.EdgeCount()-len(b.coveredIDs), []Match{m}, []string{b.rank}, m.Cost, b.wHops, w.sh.totalWeight-b.weight)
 	}
 }
 
@@ -326,7 +298,7 @@ func (w *worker) run(branches []branch) {
 // rank order (library index, then covered-edge key) — only candidates
 // ranking above the last expanded match branch, which eliminates the
 // factorial permutation blow-up without excluding any decomposition.
-func (w *worker) dfs(mask graph.EdgeMask, live int, sig graphSig, matches []Match, ranks []string, cost float64, wHops, liveWeight float64) {
+func (w *worker) dfs(mask graph.EdgeMask, live int, matches []Match, ranks []string, cost float64, wHops, liveWeight float64) {
 	if w.stopped() {
 		return
 	}
@@ -376,7 +348,7 @@ func (w *worker) dfs(mask graph.EdgeMask, live int, sig graphSig, matches []Matc
 			// expands it earlier covers that part of the space.
 			continue
 		}
-		cands := w.enumerate(primIdx, mask, sig)
+		cands := w.enumerate(primIdx, mask)
 		for _, cand := range cands {
 			if w.stopped() {
 				return
@@ -388,7 +360,7 @@ func (w *worker) dfs(mask graph.EdgeMask, live int, sig graphSig, matches []Matc
 			w.stats.MatchingsTried++
 			cand.match.Depth = len(matches)
 			next := mask.Without(cand.coveredIDs)
-			w.dfs(next, live-len(cand.coveredIDs), sig.xor(cand.coverSig), append(matches, cand.match), append(ranks, cand.rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
+			w.dfs(next, live-len(cand.coveredIDs), append(matches, cand.match), append(ranks, cand.rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
 		}
 	}
 
@@ -549,17 +521,13 @@ func seqLess(a, b []string) bool {
 }
 
 // candidate pairs a costed match with the ACG edges it covers as
-// ascending frozen edge ids (for the bitmask update), their signature
-// (for the incremental graphSig update) and the canonical expansion rank
-// built from them. wHops/weight are its latency-objective contributions —
-// the weighted hop count of its mapped routes and the latency weight of
-// its covered edges. All of it depends only on the match, never on the
-// live mask, so cached candidate lists stay valid across tree nodes and
-// across sweep solves.
+// ascending frozen edge ids (for the bitmask update) and the canonical
+// expansion rank built from them. wHops/weight are its latency-objective
+// contributions — the weighted hop count of its mapped routes and the
+// latency weight of its covered edges.
 type candidate struct {
 	match      Match
 	coveredIDs []int32
-	coverSig   graphSig
 	rank       string
 	wHops      float64
 	weight     float64
@@ -587,42 +555,17 @@ func latencyWeights(facg *graph.Frozen) ([]float64, float64) {
 	return w, total
 }
 
-// graphSig is a 128-bit Zobrist-style signature of a graph's directed edge
-// set: the XOR of a pseudorandom hash per edge. Because XOR is its own
-// inverse, the signature of a child node's remaining graph is derived from
-// the parent's in O(covered edges) — no O(E) canonical serialization per
-// tree node. All remaining graphs within one solve share the ACG's vertex
-// set, so the edge set identifies the graph; 128 bits make an accidental
-// collision (which would silently corrupt the search) vanishingly
-// unlikely even across millions of distinct tree nodes.
+// graphSig is a 128-bit Zobrist-style signature of a directed edge set:
+// the XOR of a pseudorandom hash per edge. enumerate keys the covers of
+// one enumeration by it (see coverIndex), confirming each hit by its
+// sorted edge ids, so a collision costs a comparison, never a wrong
+// merge.
 type graphSig struct{ a, b uint64 }
 
 // xor returns the signature with the edges whose combined signature is o
 // removed (or, symmetrically, added — XOR toggles).
 func (s graphSig) xor(o graphSig) graphSig {
 	return graphSig{s.a ^ o.a, s.b ^ o.b}
-}
-
-// graphSigOf hashes a full edge set, used by tests and map-graph callers.
-func graphSigOf(g *graph.Graph) graphSig {
-	var s graphSig
-	for _, e := range g.Edges() {
-		h := edgeSig(e.From, e.To)
-		s.a ^= h.a
-		s.b ^= h.b
-	}
-	return s
-}
-
-// graphSigOfFrozen hashes a frozen graph's edge set straight from the CSR
-// arrays, used once per solve for the root. Identical to graphSigOf on the
-// thawed graph.
-func graphSigOfFrozen(f *graph.Frozen) graphSig {
-	var s graphSig
-	for _, h := range edgeHashes(f) {
-		s = s.xor(h)
-	}
-	return s
 }
 
 // edgeHashes returns every frozen edge's signature term, indexed by edge
@@ -651,82 +594,24 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// MatchCache is a shareable handle on the solver's memoized candidate
-// cache. Options.MatchCache points consecutive solves at one instance so
-// a frontier sweep's adjacent ε-points reuse each other's enumerations —
-// the cache key (primitive, remaining-graph signature) and the cached
-// candidate lists are independent of MaxLatency and InitialBound, the
-// only coordinates the sweep varies. Sharing solves must run
-// sequentially when they differ in any other answer-shaping option.
-type MatchCache struct {
-	inner *matchCache
-}
+// MatchCache is kept so existing callers compile. The solver no longer
+// memoizes enumerations, so a MatchCache holds nothing.
+//
+// Deprecated: ignored; every enumeration runs fresh.
+type MatchCache struct{}
 
-// NewMatchCache returns an empty shareable candidate cache; maxEntries
-// <= 0 applies the default cap.
+// NewMatchCache returns an empty MatchCache; maxEntries is ignored.
+//
+// Deprecated: the solver no longer has a match cache.
 func NewMatchCache(maxEntries int) *MatchCache {
-	return &MatchCache{inner: newMatchCache(maxEntries)}
+	return &MatchCache{}
 }
 
-// Counters reports the cumulative hit/miss counts across every solve
-// that shared this cache.
+// Counters always reports zero hits and misses.
+//
+// Deprecated: the solver no longer has a match cache.
 func (c *MatchCache) Counters() (hits, misses uint64) {
-	return c.inner.hits.Load(), c.inner.misses.Load()
-}
-
-// matchKey identifies one enumerate query: which primitive against which
-// remaining graph.
-type matchKey struct {
-	prim int
-	sig  graphSig
-}
-
-// matchCache memoizes finished candidate lists across the DFS workers. A
-// hit skips the isomorphism search *and* the match costing pipeline
-// behind it, and the retained values are at most MatchLimit candidates
-// each. Entries beyond the cap are computed and returned but not
-// retained. Safe for concurrent use.
-type matchCache struct {
-	mu      sync.RWMutex
-	entries map[matchKey][]candidate
-	max     int
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-}
-
-// defaultMatchCacheEntries bounds a match cache built with a zero cap.
-// Entries are small (at most MatchLimit candidates over graphs of tens of
-// vertices), so tens of thousands of them stay in the tens of megabytes.
-const defaultMatchCacheEntries = 1 << 15
-
-func newMatchCache(maxEntries int) *matchCache {
-	if maxEntries <= 0 {
-		maxEntries = defaultMatchCacheEntries
-	}
-	return &matchCache{entries: make(map[matchKey][]candidate), max: maxEntries}
-}
-
-// get returns the cached candidate list. The caller must treat the slice
-// and the mappings inside as read-only (candidate values are copied out on
-// range, so setting Depth on the copy is fine).
-func (c *matchCache) get(key matchKey) ([]candidate, bool) {
-	c.mu.RLock()
-	cands, ok := c.entries[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return cands, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-func (c *matchCache) put(key matchKey, cands []candidate) {
-	c.mu.Lock()
-	if _, dup := c.entries[key]; !dup && len(c.entries) < c.max {
-		c.entries[key] = cands
-	}
-	c.mu.Unlock()
+	return 0, 0
 }
 
 // candRank builds the canonical expansion rank of a candidate: library

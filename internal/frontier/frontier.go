@@ -27,10 +27,9 @@
 // solve then hunts only strict improvements — exactly the points the
 // frontier emits — pruning both the worse-cost space and the equal-cost
 // tie space a cold solve must canonicalize; a dominated ε resolves as a
-// cheap "no improvement" proof instead of a full re-solve. Together with
-// one match cache shared across the sweep (Options.MatchCache) this
-// makes the k-1 constrained solves dramatically cheaper than k cold
-// solves while leaving every emitted answer byte-identical to its cold
+// cheap "no improvement" proof instead of a full re-solve. Warm-starting
+// alone makes the k-1 constrained solves much cheaper than k cold solves
+// while leaving every emitted answer byte-identical to its cold
 // equivalent.
 package frontier
 
@@ -69,8 +68,8 @@ type Options struct {
 	Points int
 
 	// Synth is the base synthesis configuration swept by the
-	// enumerator. Its MaxLatency, InitialBound and MatchCache fields
-	// are owned by the sweep and overwritten per point; everything
+	// enumerator. Its MaxLatency and InitialBound fields are owned by
+	// the sweep and overwritten per point; everything
 	// else (Mode, MatchLimit, Parallelism, ...) applies to every
 	// solve unchanged.
 	Synth repro.Options
@@ -256,8 +255,7 @@ func (r *Result) EncodeNDJSON(w io.Writer) error {
 // The sweep solves the unconstrained problem once (the anchor, cost E0 /
 // latency L0), lays a uniform ε grid of Options.Points values across
 // [1, L0], and re-solves under MaxLatency = ε for each, ascending, with
-// each solve warm-started from its predecessor's cost and all solves
-// sharing one match cache. A grid solve is emitted as a frontier point
+// each solve warm-started from its predecessor's cost. A grid solve is emitted as a frontier point
 // iff it is strictly cheaper than every tighter solve before it; the
 // final grid point (ε = L0) always reproduces the anchor, so the
 // frontier is anchored at the unconstrained optimum.
@@ -278,9 +276,6 @@ func Enumerate(ctx context.Context, acg *repro.Graph, opts Options) (*Result, er
 
 	base := opts.Synth
 	base.MaxLatency, base.InitialBound = 0, 0
-	if base.MatchCache == nil && !base.DisableIsoCache {
-		base.MatchCache = repro.NewMatchCache(base.IsoCacheEntries)
-	}
 
 	start := time.Now()
 	res := &Result{}

@@ -44,10 +44,18 @@ func TestHTTPEndToEndAES(t *testing.T) {
 		t.Skip("full AES synthesis")
 	}
 	var solves atomic.Int64
-	s := newStubService(t, Config{
+	var s *Service
+	s = newStubService(t, Config{
 		Workers: 2,
 		Solve: func(ctx context.Context, acg *graph.Graph, opts repro.Options) (*repro.Result, error) {
 			solves.Add(1)
+			// The AES solve takes a few milliseconds, so the second
+			// submission could otherwise arrive after it finished and
+			// be served from the cache: hold the solve until that
+			// submission has coalesced onto it.
+			for deadline := time.Now().Add(5 * time.Second); s.Metrics.JobsCoalesced.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			return repro.SynthesizeContext(ctx, acg, opts)
 		},
 	})

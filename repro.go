@@ -64,8 +64,9 @@ type (
 	NetworkConfig = noc.Config
 	// KeySchedule is an expanded AES-128 key.
 	KeySchedule = aes.KeySchedule
-	// MatchCache is a shareable memoized candidate cache for sweeps of
-	// related solves (see Options.MatchCache).
+	// MatchCache is an empty placeholder kept for existing callers.
+	//
+	// Deprecated: the solver no longer has a match cache.
 	MatchCache = core.MatchCache
 )
 
@@ -84,7 +85,9 @@ var (
 	Tech180 = energy.Tech180
 	Tech130 = energy.Tech130
 	Tech100 = energy.Tech100
-	// NewMatchCache builds a shareable candidate cache (0 = default cap).
+	// NewMatchCache returns an empty MatchCache.
+	//
+	// Deprecated: the solver no longer has a match cache.
 	NewMatchCache = core.NewMatchCache
 )
 
@@ -127,14 +130,11 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = serial). The result is identical at every
 	// worker count.
 	Parallelism int
-	// DisableIsoCache turns off the memoized subgraph-isomorphism cache
-	// (ablation; the cache is on by default).
+	// Deprecated: ignored. The solver no longer has a match cache.
 	DisableIsoCache bool
-	// IsoCacheEntries caps the match cache size (0 = default).
+	// Deprecated: ignored.
 	IsoCacheEntries int
-	// IsoCacheMinCost, when positive, retains in the match cache only the
-	// results whose enumeration took at least this long (0, the default,
-	// retains everything).
+	// Deprecated: ignored.
 	IsoCacheMinCost time.Duration
 	// MaxLatency constrains the decomposition's volume-weighted average
 	// hop latency (Decomposition.AvgHops) — the ε of the frontier
@@ -151,9 +151,7 @@ type Options struct {
 	// the equal-cost tie space a cold solve must canonicalize, so it
 	// explores strictly fewer nodes whenever ties exist. Zero disables.
 	InitialBound float64
-	// MatchCache shares memoized candidate enumerations across
-	// sequential solves over the same graph, library, placement, energy
-	// model and limits (nil = a fresh per-solve cache).
+	// Deprecated: ignored.
 	MatchCache *MatchCache
 }
 
@@ -261,18 +259,14 @@ func SynthesizeContext(ctx context.Context, acg *Graph, opts Options) (*Result, 
 		Energy:      em,
 		Constraints: opts.Constraints,
 		Options: core.Options{
-			Mode:            opts.Mode,
-			Timeout:         opts.Timeout,
-			IsoTimeout:      opts.IsoTimeout,
-			MatchLimit:      opts.MatchLimit,
-			DisableBound:    opts.DisableBound,
-			Parallelism:     opts.Parallelism,
-			DisableIsoCache: opts.DisableIsoCache,
-			IsoCacheEntries: opts.IsoCacheEntries,
-			IsoCacheMinCost: opts.IsoCacheMinCost,
-			MaxLatency:      opts.MaxLatency,
-			InitialBound:    opts.InitialBound,
-			MatchCache:      opts.MatchCache,
+			Mode:         opts.Mode,
+			Timeout:      opts.Timeout,
+			IsoTimeout:   opts.IsoTimeout,
+			MatchLimit:   opts.MatchLimit,
+			DisableBound: opts.DisableBound,
+			Parallelism:  opts.Parallelism,
+			MaxLatency:   opts.MaxLatency,
+			InitialBound: opts.InitialBound,
 		},
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ trajectory="BENCH_trajectory.json"
 count="${BENCH_COUNT:-3}"
 
 raw=$(go test -run '^$' \
-    -bench 'BenchmarkSolverParallelism|BenchmarkVF2GossipInAES|BenchmarkFig6_AESDecomposition|BenchmarkTableAES_Mesh|BenchmarkSweepUniformMesh|BenchmarkFrontierAES' \
+    -bench 'BenchmarkSolverParallelism|BenchmarkFig6_AESDecomposition|BenchmarkTableAES_Mesh|BenchmarkSweepUniformMesh|BenchmarkFrontierAES' \
     -benchmem -benchtime "$benchtime" -count "$count" .)
 
 # Figure 4b at the two largest sizes: 30- and 40-node Pajek-style random
@@ -40,11 +40,14 @@ raw_fig4b=$(go test -run '^$' \
 # the 10k-router demand-driven routing compile, the dense Build -> VC
 # assignment -> compile pipeline at 256 and 1000 routers, and busy
 # 1k/10k-router uniform windows (landmark routes at 10k) on the serial
-# kernel.
+# kernel; plus the raw VF2 matcher (every MGG4 embedding in the AES
+# ACG, ~0.1 ms/op).
 # These run at a fixed longer benchtime — the per-op cost of the short
-# ones is nanoseconds, so 5 iterations would measure noise.
+# ones is nanoseconds to microseconds, so 5 iterations would measure
+# noise (8 repeats of the VF2 benchmark spread ~40% at 5 iterations and
+# ~15% at 1 s).
 raw_kernel=$(go test -run '^$' \
-    -bench 'BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileSparseBA10k|BenchmarkCompileDense|BenchmarkStepBusy' \
+    -bench 'BenchmarkVF2GossipInAES|BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileSparseBA10k|BenchmarkCompileDense|BenchmarkStepBusy' \
     -benchmem -benchtime 1s -count "$count" .)
 
 # Service-path trajectory: the cold (cache-miss, real solve) and hot
