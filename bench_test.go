@@ -801,3 +801,45 @@ func BenchmarkVF2GossipInAES(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenerateTrace times open-loop schedule generation at the
+// sizes of the sim-sweep workload's ladders: 10k nodes × 500 cycles of
+// uniform traffic at 2e-4 packets/node/cycle (5 M Bernoulli slots, ~1 k
+// packets), and 1k nodes × 1000 cycles of 4-hub hotspot traffic at 1e-3.
+// Each iteration regenerates into the previous iteration's buffer, as
+// the sweep workers do.
+func BenchmarkGenerateTrace(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		spec   string
+		n      int
+		cycles int64
+		rate   float64
+	}{
+		{"uniform10k", "uniform", 10000, 500, 2e-4},
+		{"hotspot1k", "hotspot:0,1,2,3:0.5", 1000, 1000, 1e-3},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pat, err := noc.NewPattern(bc.spec, bc.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes := make([]graph.NodeID, bc.n)
+			for i := range nodes {
+				nodes[i] = graph.NodeID(i)
+			}
+			cfg := noc.TrafficConfig{Nodes: nodes, Bits: 128, Rate: bc.rate, Seed: 7}
+			var trace noc.Trace
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i)
+				if trace, err = noc.GenerateTraceInto(trace, pat, cfg, bc.cycles); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if len(trace) == 0 {
+				b.Fatal("no packets generated")
+			}
+		})
+	}
+}

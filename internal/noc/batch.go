@@ -189,9 +189,8 @@ func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 		if pt.Bits <= 0 {
 			return nil, fmt.Errorf("noc: batch point %d packet bits %d", i, pt.Bits)
 		}
-		if pt.WarmupCycles < 0 || pt.MeasureCycles <= 0 {
-			return nil, fmt.Errorf("noc: batch point %d windows warmup=%d measure=%d",
-				i, pt.WarmupCycles, pt.MeasureCycles)
+		if err := checkWindows(pt.WarmupCycles, pt.MeasureCycles); err != nil {
+			return nil, fmt.Errorf("noc: batch point %d: %w", i, err)
 		}
 		batches := pt.Batches
 		if batches <= 0 {
@@ -454,6 +453,34 @@ func (r *SimRequest) CheckPartitions() error {
 	return nil
 }
 
+// ErrWindows rejects a point's cycle windows: a negative warmup, an
+// empty measurement window, or a generated horizon warmup+measure above
+// MaxTraceCycles.
+var ErrWindows = errors.New("noc: bad cycle windows")
+
+// checkWindows validates one point's warmup and measurement windows
+// against ErrWindows, without overflowing on huge values.
+func checkWindows(warmup, measure int64) error {
+	if warmup < 0 || measure <= 0 || measure > MaxTraceCycles-warmup {
+		return fmt.Errorf("%w: warmup=%d measure=%d (need warmup >= 0, measure > 0, warmup+measure <= %d)",
+			ErrWindows, warmup, measure, MaxTraceCycles)
+	}
+	return nil
+}
+
+// CheckWindows returns an error wrapping ErrWindows if any point's
+// cycle windows are invalid or span more than MaxTraceCycles. Like
+// CheckPartitions it is cheap, so callers that queue requests run it
+// before admitting them.
+func (r *SimRequest) CheckWindows() error {
+	for i := range r.Points {
+		if err := checkWindows(r.Points[i].WarmupCycles, r.Points[i].MeasureCycles); err != nil {
+			return fmt.Errorf("sim point %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Canonical returns the deterministic encoding of the (decoded,
 // normalized) request used for content addressing: struct field order
 // is fixed and there are no maps, so semantically identical requests
@@ -479,6 +506,9 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 		return nil, fmt.Errorf("noc: sim request has no points")
 	}
 	if err := req.CheckPartitions(); err != nil {
+		return nil, err
+	}
+	if err := req.CheckWindows(); err != nil {
 		return nil, err
 	}
 	cfg := req.Config.resolve()

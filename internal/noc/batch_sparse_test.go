@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -190,6 +191,53 @@ func TestBuildBatchRejectsPartitions(t *testing.T) {
 		}
 		if err != nil && !errors.Is(err, ErrPartitions) {
 			t.Fatalf("partitions %d: %v does not wrap ErrPartitions", parts, err)
+		}
+	}
+}
+
+// TestCycleWindowsBound: a point whose warmup+measure horizon exceeds
+// MaxTraceCycles, or overflows int64, is rejected with ErrWindows by
+// BuildBatch, by Batch.Run on an already built batch, and by Sweep,
+// before any cycle is simulated.
+func TestCycleWindowsBound(t *testing.T) {
+	bad := [][2]int64{
+		{0, MaxTraceCycles + 1},
+		{MaxTraceCycles, 1},
+		{1, math.MaxInt64},
+		{math.MaxInt64, 1},
+		{math.MaxInt64, math.MaxInt64},
+		{-1, 10},
+		{10, 0},
+	}
+	if err := checkWindows(MaxTraceCycles-1, 1); err != nil {
+		t.Errorf("horizon of exactly MaxTraceCycles rejected: %v", err)
+	}
+	for _, w := range bad {
+		req := &SimRequest{
+			Archs: []SimArch{{Mesh: "4x4"}},
+			Points: []SimPoint{{
+				Arch: 0, Pattern: "transpose", Bits: 64, Rate: 0.02,
+				WarmupCycles: 10, MeasureCycles: 20, Seed: 1,
+			}},
+		}
+		b, err := BuildBatch(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Points[0].WarmupCycles, b.Points[0].MeasureCycles = w[0], w[1]
+		if _, err := b.Run(context.Background()); !errors.Is(err, ErrWindows) {
+			t.Errorf("Batch.Run windows %v: err %v, want ErrWindows", w, err)
+		}
+		req.Points[0].WarmupCycles, req.Points[0].MeasureCycles = w[0], w[1]
+		if _, err := BuildBatch(req); !errors.Is(err, ErrWindows) {
+			t.Errorf("BuildBatch windows %v: err %v, want ErrWindows", w, err)
+		}
+		if err := req.CheckWindows(); !errors.Is(err, ErrWindows) {
+			t.Errorf("CheckWindows windows %v: err %v, want ErrWindows", w, err)
+		}
+		cfg := SweepConfig{Pattern: b.Points[0].Pattern, Rates: []float64{0.01}, Bits: 64, WarmupCycles: w[0], MeasureCycles: w[1]}
+		if err := cfg.validate(); !errors.Is(err, ErrWindows) {
+			t.Errorf("Sweep windows %v: err %v, want ErrWindows", w, err)
 		}
 	}
 }

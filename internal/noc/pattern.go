@@ -379,7 +379,19 @@ func GenerateTrace(p *Pattern, cfg TrafficConfig, cycles int64) (Trace, error) {
 // (truncated first), so repeat generators — the sweep harness produces
 // one schedule per rate point — reuse one buffer instead of regrowing a
 // fresh trace every time. The schedule bytes are identical to
-// GenerateTrace's.
+// GenerateTrace's. Horizons above MaxTraceCycles are rejected.
+//
+// The schedule is unchanged from the per-slot generator, kept in the
+// tests as the oracle: for each cycle and each source rank in order, one
+// rand.Float64() < rate draw from rand.New(rand.NewSource(Seed)), then
+// the pattern's destination draws on a hit. Without bursts the generator
+// does not run that loop. It
+// scans a block-generated copy of the same value stream (streamSource)
+// for the next value below the Float64 threshold and splits the slot
+// index into (cycle, source) only on a hit, so the cost follows the
+// packets, not nodes × cycles. The bursty path keeps the per-slot loop
+// over the same stream. TestGenerateTraceMatchesPerSlotOracle holds both
+// paths to the per-slot loop byte for byte.
 func GenerateTraceInto(dst Trace, p *Pattern, cfg TrafficConfig, cycles int64) (Trace, error) {
 	if p == nil {
 		return nil, fmt.Errorf("noc: nil pattern")
@@ -397,8 +409,8 @@ func GenerateTraceInto(dst Trace, p *Pattern, cfg TrafficConfig, cycles int64) (
 	if cfg.Rate <= 0 || cfg.Rate > 1 {
 		return nil, fmt.Errorf("noc: rate %g outside (0, 1]", cfg.Rate)
 	}
-	if cycles <= 0 {
-		return nil, fmt.Errorf("noc: cycle horizon %d", cycles)
+	if cycles <= 0 || cycles > MaxTraceCycles {
+		return nil, fmt.Errorf("noc: cycle horizon %d outside [1, %d]", cycles, MaxTraceCycles)
 	}
 	onProb := cfg.Rate
 	var pOnToOff, pOffToOn float64
@@ -420,41 +432,60 @@ func GenerateTraceInto(dst Trace, p *Pattern, cfg TrafficConfig, cycles int64) (
 			pOnToOff = 0
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Per-node ON/OFF state; without bursts every node is permanently ON.
+	src := newStreamSource(cfg.Seed)
+	rng := rand.New(src)
+	trace := dst[:0]
+	emit := func(c int64, s int) {
+		d := p.DestRank(s, rng)
+		if d == s {
+			return // deterministic pattern with no partner for s
+		}
+		trace = append(trace, TrafficEvent{Cycle: c, Src: cfg.Nodes[s], Dst: cfg.Nodes[d], Bits: cfg.Bits})
+	}
+	if cfg.Burst == nil {
+		// Every node is permanently ON: the draws are one Float64 per
+		// slot c*n + s, scanned in bulk.
+		cut, redraw := float64Cut(onProb), float64Cut(1)
+		var c int64
+		s := 0
+		for left := cycles * int64(n); left > 0; {
+			missed, hit := src.scan(cut, redraw, left)
+			if !hit {
+				break
+			}
+			left -= missed + 1
+			if k := int64(n - s); missed < k {
+				s += int(missed)
+			} else {
+				missed -= k
+				c += 1 + missed/int64(n)
+				s = int(missed % int64(n))
+			}
+			emit(c, s)
+			if s++; s == n {
+				s = 0
+				c++
+			}
+		}
+		return trace, nil
+	}
+	// Per-node ON/OFF state.
 	on := make([]bool, n)
 	for i := range on {
-		if cfg.Burst == nil {
-			on[i] = true
-		} else {
-			on[i] = rng.Float64() < cfg.Burst.OnFraction
-		}
+		on[i] = rng.Float64() < cfg.Burst.OnFraction
 	}
-	trace := dst[:0]
 	for c := int64(0); c < cycles; c++ {
-		for src := 0; src < n; src++ {
-			if cfg.Burst != nil {
-				if on[src] {
-					if rng.Float64() < pOnToOff {
-						on[src] = false
-					}
-				} else if rng.Float64() < pOffToOn {
-					on[src] = true
+		for s := 0; s < n; s++ {
+			if on[s] {
+				if rng.Float64() < pOnToOff {
+					on[s] = false
 				}
+			} else if rng.Float64() < pOffToOn {
+				on[s] = true
 			}
-			if !on[src] || rng.Float64() >= onProb {
-				continue
+			if on[s] && rng.Float64() < onProb {
+				emit(c, s)
 			}
-			dst := p.DestRank(src, rng)
-			if dst == src {
-				continue // deterministic pattern with no partner for src
-			}
-			trace = append(trace, TrafficEvent{
-				Cycle: c,
-				Src:   cfg.Nodes[src],
-				Dst:   cfg.Nodes[dst],
-				Bits:  cfg.Bits,
-			})
 		}
 	}
 	return trace, nil

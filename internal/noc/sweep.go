@@ -154,8 +154,8 @@ func (c *SweepConfig) validate() error {
 	if c.Bits <= 0 {
 		return fmt.Errorf("noc: sweep packet bits %d", c.Bits)
 	}
-	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
-		return fmt.Errorf("noc: sweep windows warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
+	if err := checkWindows(c.WarmupCycles, c.MeasureCycles); err != nil {
+		return fmt.Errorf("noc: sweep: %w", err)
 	}
 	return nil
 }

@@ -139,8 +139,10 @@ func (n *Network) ReplayWithContext(ctx context.Context, trace Trace, drainLimit
 // MaxTraceCycles bounds the schedule horizon a single generated trace
 // may span. A degenerate injection rate (e.g. 1e-12 packets/node/cycle)
 // would otherwise spin the cycle loop for ~count/rate iterations — weeks
-// of wall time — before producing its packets. Drivers computing their
-// own horizons (cmd/nocsim) apply the same bound.
+// of wall time — before producing its packets. GenerateTrace rejects a
+// longer horizon; Sweep, Batch.Run, BuildBatch and SimRequest.CheckWindows
+// reject warmup+measure windows above it, and drivers computing their own
+// horizons (cmd/nocsim) apply the same bound.
 const MaxTraceCycles = int64(100_000_000)
 
 // UniformRandomTrace generates count packets of the given size at the

@@ -70,6 +70,9 @@ func (s *Service) submitSimulate(req SimulateRequest) (admission, error) {
 	if err := req.Sim.CheckPartitions(); err != nil {
 		return admission{}, err
 	}
+	if err := req.Sim.CheckWindows(); err != nil {
+		return admission{}, err
+	}
 	timeout := req.Timeout
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout

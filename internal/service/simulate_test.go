@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -146,8 +147,9 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
-	// Request-shape errors (partitions other than 0 or 1 included)
-	// reject at submit with 400. Deeper build errors
+	// Request-shape errors (partitions other than 0 or 1 and cycle
+	// windows above noc.MaxTraceCycles included) reject at submit with
+	// 400. Deeper build errors
 	// (an unknown pattern) only surface when the worker builds the batch,
 	// so they fail the job — the wait path reports that as 500 with the
 	// build error, matching how a failed solve is reported.
@@ -163,6 +165,10 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 		"partitions 2": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1,"partitions":2}]}`,
 			http.StatusBadRequest},
 		"partitions -1": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1,"partitions":-1}]}`,
+			http.StatusBadRequest},
+		"horizon above bound": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":100000000,"seed":1}]}`,
+			http.StatusBadRequest},
+		"horizon overflow": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":9223372036854775807,"measureCycles":9223372036854775807,"seed":1}]}`,
 			http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/simulate?wait=1", "application/json", bytes.NewReader([]byte(tc.body)))
@@ -229,6 +235,29 @@ func TestSimulatePartitionsContentAddress(t *testing.T) {
 		job, _, err := s.SubmitSimulate(SimulateRequest{Sim: mk(parts)})
 		if !errors.Is(err, noc.ErrPartitions) || job != nil {
 			t.Errorf("SubmitSimulate partitions %d: job %v, err %v", parts, job, err)
+		}
+	}
+	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {
+		t.Errorf("%d rejected submissions were admitted", n)
+	}
+}
+
+// TestSimulateRejectsWindowsBeforeQueueing: a point whose
+// warmup+measure horizon exceeds noc.MaxTraceCycles (or overflows) is
+// refused with noc.ErrWindows at submission, before any job exists.
+func TestSimulateRejectsWindowsBeforeQueueing(t *testing.T) {
+	s := newStubService(t, Config{Workers: 1})
+	for _, w := range [][2]int64{{1, noc.MaxTraceCycles}, {math.MaxInt64, 1}, {0, 0}} {
+		req := &noc.SimRequest{
+			Archs: []noc.SimArch{{Mesh: "4x4"}},
+			Points: []noc.SimPoint{{
+				Arch: 0, Pattern: "uniform", Bits: 64, Rate: 0.02,
+				WarmupCycles: w[0], MeasureCycles: w[1], Seed: 1,
+			}},
+		}
+		job, _, err := s.SubmitSimulate(SimulateRequest{Sim: req})
+		if !errors.Is(err, noc.ErrWindows) || job != nil {
+			t.Errorf("windows %v: job %v, err %v", w, job, err)
 		}
 	}
 	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {

@@ -41,13 +41,14 @@ raw_fig4b=$(go test -run '^$' \
 # assignment -> compile pipeline at 256 and 1000 routers, and busy
 # 1k/10k-router uniform windows (landmark routes at 10k) on the serial
 # kernel; plus the raw VF2 matcher (every MGG4 embedding in the AES
-# ACG, ~0.1 ms/op).
+# ACG, ~0.1 ms/op) and open-loop traffic generation at the sim-sweep
+# workload's sizes (10k nodes uniform, 1k nodes hotspot).
 # These run at a fixed longer benchtime — the per-op cost of the short
 # ones is nanoseconds to microseconds, so 5 iterations would measure
 # noise (8 repeats of the VF2 benchmark spread ~40% at 5 iterations and
 # ~15% at 1 s).
 raw_kernel=$(go test -run '^$' \
-    -bench 'BenchmarkVF2GossipInAES|BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileSparseBA10k|BenchmarkCompileDense|BenchmarkStepBusy' \
+    -bench 'BenchmarkVF2GossipInAES|BenchmarkGenerateTrace|BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileSparseBA10k|BenchmarkCompileDense|BenchmarkStepBusy' \
     -benchmem -benchtime 1s -count "$count" .)
 
 # Service-path trajectory: the cold (cache-miss, real solve) and hot
