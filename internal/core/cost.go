@@ -375,9 +375,13 @@ func (c *coster) edgeEnergy(pi *primInfo, core []int32, r int, e int32) float64 
 	return c.p.Energy.TransferEnergy(c.facg.Volume(int(e)), lengths)
 }
 
-// remainderCostMask is remainderCost over the frozen ACG restricted to the
-// live-edge mask — the form the leaf handler uses. In energy mode it sums
-// the precomputed per-edge constants; in link mode it is the popcount.
+// remainderCostMask prices the remainder over the frozen ACG restricted
+// to the live-edge mask — the form the leaf handler uses: each leftover
+// edge becomes a dedicated point-to-point link (two switch traversals,
+// one link at the floorplanned distance in energy mode; one unit per
+// directed edge in link mode). In energy mode it sums the precomputed
+// per-edge constants; in link mode it is the popcount. The map-graph
+// reference, remainderCost, lives with the tests.
 func (c *coster) remainderCostMask(mask graph.EdgeMask) float64 {
 	if c.p.Options.Mode == CostLinks {
 		return float64(mask.Count())
@@ -392,29 +396,15 @@ func (c *coster) remainderCostMask(mask graph.EdgeMask) float64 {
 	return total
 }
 
-// remainderCost prices the remainder graph: each leftover edge becomes a
-// dedicated point-to-point link (two switch traversals, one link at the
-// floorplanned distance in energy mode; one unit per directed edge in link
-// mode). It is the map-graph reference implementation of remainderCostMask,
-// kept for callers and tests outside the mask-based search.
-func (c *coster) remainderCost(r *graph.Graph) float64 {
-	if c.p.Options.Mode == CostLinks {
-		return float64(r.EdgeCount())
-	}
-	var total float64
-	for _, e := range r.Edges() {
-		total += c.p.Energy.TransferEnergy(e.Volume, []float64{c.linkLength(e.From, e.To)})
-	}
-	return total
-}
-
-// lowerBoundMask is lowerBound over the frozen ACG restricted to the
-// live-edge mask (live is the mask's popcount, tracked incrementally by
-// the search) — the form the hot pruning path uses. Energy mode sums the
-// per-edge bound terms minEdge (see edgeConsts). Link mode walks the live
-// edges once, summing their integer shares and marking active endpoints in
-// the worker-local scratch bitset, and takes the largest of three
-// admissible bounds:
+// lowerBoundMask is the "minimum remaining cost" of Figure 3, an
+// admissible estimate of the cheapest implementation of the remaining
+// graph, over the frozen ACG restricted to the live-edge mask (live is
+// the mask's popcount, tracked incrementally by the search) — the form
+// the hot pruning path uses; the map-graph reference, lowerBound, lives
+// with the tests. Energy mode sums the per-edge bound terms minEdge (see
+// edgeConsts). Link mode walks the live edges once, summing their
+// integer shares and marking active endpoints in the worker-local
+// scratch bitset, and takes the largest of three admissible bounds:
 //
 //   - every vertex that still sends or receives needs an incident link,
 //     and one link serves two vertices;
@@ -503,48 +493,6 @@ func (c *coster) slackBound(live int, slack float64) float64 {
 		return 0
 	}
 	return (float64(live)-m)/c.latR0 + m/c.latRmax
-}
-
-// lowerBound is the "minimum remaining cost" of Figure 3: an admissible
-// estimate of the cheapest possible implementation of the remaining graph.
-// It is the map-graph reference implementation of lowerBoundMask, kept for
-// the representation-equivalence tests, and reads the same cover floors
-// through each edge's frozen id; slack has the same meaning as there. In
-// energy mode it recomputes the straight-line term — every remaining edge
-// must move v(e) bits between its endpoint cores through at least two
-// switches and wire no shorter than their straight-line separation —
-// raises it to the edge's floor and scales it by 1−floorMargin.
-func (c *coster) lowerBound(r *graph.Graph, slack float64) float64 {
-	if c.p.Options.Mode == CostLinks {
-		active := 0
-		for _, n := range r.Nodes() {
-			if r.Degree(n) > 0 {
-				active++
-			}
-		}
-		var shares int64
-		for _, e := range r.Edges() {
-			shares += int64(c.share[c.edgeID(e)])
-		}
-		return c.linkBound(active, shares, r.EdgeCount(), slack)
-	}
-	var total float64
-	for _, e := range r.Edges() {
-		lb := e.Volume * c.p.Energy.MinBitEnergy(c.straightLine(e.From, e.To))
-		if c.floor != nil {
-			lb = max(lb, c.floor[c.edgeID(e)])
-		}
-		total += lb * (1 - floorMargin)
-	}
-	return total
-}
-
-// edgeID returns the frozen edge id of e, which must be an ACG edge.
-func (c *coster) edgeID(e graph.Edge) int {
-	from, _ := c.facg.IndexOf(e.From)
-	to, _ := c.facg.IndexOf(e.To)
-	id, _ := c.facg.EdgeIndexBetween(from, to)
-	return id
 }
 
 // maxCoverPerLink returns the best edges-covered-per-link ratio any

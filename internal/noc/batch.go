@@ -319,22 +319,15 @@ func (a *SimArch) build(i int) (*topology.Architecture, error) {
 	}
 	switch {
 	case a.Mesh != "":
-		var rows, cols int
-		if _, err := fmt.Sscanf(a.Mesh, "%dx%d", &rows, &cols); err != nil {
-			return nil, fmt.Errorf("noc: sim architecture %d bad mesh %q: %v", i, a.Mesh, err)
-		}
-		if rows < 1 || cols < 1 || rows*cols > maxSimNodes {
-			return nil, fmt.Errorf("noc: sim architecture %d mesh %q outside 1..%d nodes", i, a.Mesh, maxSimNodes)
+		rows, cols, err := a.meshDims()
+		if err != nil {
+			return nil, fmt.Errorf("noc: sim architecture %d %v", i, err)
 		}
 		return topology.Mesh(rows, cols, nil)
 	case a.BA != "":
-		var n, m int
-		var seed int64
-		if _, err := fmt.Sscanf(a.BA, "%d:%d:%d", &n, &m, &seed); err != nil {
-			return nil, fmt.Errorf("noc: sim architecture %d bad ba %q (want n:m:seed): %v", i, a.BA, err)
-		}
-		if n < 2 || n > maxSimNodes {
-			return nil, fmt.Errorf("noc: sim architecture %d ba node count %d outside 2..%d", i, n, maxSimNodes)
+		n, m, seed, err := a.baParams()
+		if err != nil {
+			return nil, fmt.Errorf("noc: sim architecture %d %v", i, err)
 		}
 		g, err := randgraph.BarabasiAlbert(n, m, 8, 64, seed)
 		if err != nil {
@@ -373,6 +366,54 @@ func (a *SimArch) build(i int) (*topology.Architecture, error) {
 			}
 		}
 		return arch, nil
+	}
+}
+
+// meshDims parses and bounds the Mesh spec.
+func (a *SimArch) meshDims() (rows, cols int, err error) {
+	if _, err := fmt.Sscanf(a.Mesh, "%dx%d", &rows, &cols); err != nil {
+		return 0, 0, fmt.Errorf("bad mesh %q: %v", a.Mesh, err)
+	}
+	if rows < 1 || cols < 1 || rows > maxSimNodes || cols > maxSimNodes || rows*cols > maxSimNodes {
+		return 0, 0, fmt.Errorf("mesh %q outside 1..%d nodes", a.Mesh, maxSimNodes)
+	}
+	return rows, cols, nil
+}
+
+// baParams parses and bounds the BA spec; randgraph.BarabasiAlbert
+// checks the attachment count.
+func (a *SimArch) baParams() (n, m int, seed int64, err error) {
+	if _, err := fmt.Sscanf(a.BA, "%d:%d:%d", &n, &m, &seed); err != nil {
+		return 0, 0, 0, fmt.Errorf("bad ba %q (want n:m:seed): %v", a.BA, err)
+	}
+	if n < 2 || n > maxSimNodes {
+		return 0, 0, 0, fmt.Errorf("ba node count %d outside 2..%d", n, maxSimNodes)
+	}
+	return n, m, seed, nil
+}
+
+// portBound bounds the router port count (two per link plus one per
+// node) of the architecture from its spec alone, without building it:
+// exact for a mesh; for BA the m+1-node seed cycle plus m links per
+// later node; for a link list two nodes and one link per entry. ok is
+// false for a spec that build rejects.
+func (a *SimArch) portBound() (ports int64, ok bool) {
+	switch {
+	case a.Mesh != "":
+		rows, cols, err := a.meshDims()
+		if err != nil {
+			return 0, false
+		}
+		r, c := int64(rows), int64(cols)
+		return r*c + 2*(r*(c-1)+c*(r-1)), true
+	case a.BA != "":
+		n, m, _, err := a.baParams()
+		if err != nil || m < 1 || m >= n {
+			return 0, false
+		}
+		return int64(n) + 2*(int64(m)+1+int64(m)*int64(n-m-1)), true
+	default:
+		return 4 * int64(len(a.Links)), true
 	}
 }
 
@@ -481,6 +522,31 @@ func (r *SimRequest) CheckWindows() error {
 	return nil
 }
 
+// CheckConfig returns an error wrapping ErrConfig if the request's
+// hardware config is out of bounds (more than MaxVCs virtual channels)
+// or could build a network whose rings overflow the kernel's int32 lane
+// indices or whose kernel state exceeds MaxNetworkBytes. It sizes each
+// architecture from its spec alone (SimArch.portBound), so it allocates
+// nothing in proportion to the request and callers that queue requests
+// run it before admitting them. NewCompiled repeats the size check
+// against the built topology.
+func (r *SimRequest) CheckConfig() error {
+	cfg := r.Config.resolve()
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	for i := range r.Archs {
+		ports, ok := r.Archs[i].portBound()
+		if !ok {
+			continue // build reports the malformed spec
+		}
+		if err := cfg.checkSize(ports); err != nil {
+			return fmt.Errorf("sim architecture %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Canonical returns the deterministic encoding of the (decoded,
 // normalized) request used for content addressing: struct field order
 // is fixed and there are no maps, so semantically identical requests
@@ -509,6 +575,9 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 		return nil, err
 	}
 	if err := req.CheckWindows(); err != nil {
+		return nil, err
+	}
+	if err := req.CheckConfig(); err != nil {
 		return nil, err
 	}
 	cfg := req.Config.resolve()

@@ -166,12 +166,12 @@ const noHop = int16(0x7fff)
 // quantities the kernel otherwise maintains incrementally:
 //
 //   - per-VC head mirrors (headWant/headNextVC) and output request
-//     counters (wantCnt) from the filtered rings;
+//     counters and lane XORs (wantCnt/wantXor) from the filtered rings;
 //   - wormhole locks, released where the locking packet died
 //     (outLockedPkt identifies it);
 //   - credits from the invariant credits[vc] = BufferFlits − downstream
 //     ring occupancy(vc) − in-flight wheel flits landing in that buffer;
-//   - bufFlits and the active/source worklists.
+//   - bufFlits, the active-router bitset and the source worklist.
 //
 // Packet conservation across the run becomes
 // Injected = Delivered + Pending + Dropped.
@@ -245,10 +245,13 @@ func (n *Network) purgeFaulted() {
 	n.srcActive = keepSrc
 
 	// Input rings: filter dead flits preserving FIFO order, then rebuild
-	// the head mirrors and request counters from scratch.
+	// the head mirrors, request counters and active bits from scratch.
 	var scratch []flit
 	clear(n.wantCnt)
+	clear(n.wantXor)
 	clear(n.bufFlits)
+	clear(n.activeBits)
+	n.nActive = 0
 	for ri := int32(0); ri < int32(n.frz.NodeCount()); ri++ {
 		rBase := n.portOff[ri]
 		total := int32(0)
@@ -273,6 +276,7 @@ func (n *Network) purgeFaulted() {
 					n.headWant[lane] = h.want
 					n.headNextVC[lane] = h.nextVC
 					n.wantCnt[rBase+int32(h.want)]++
+					n.wantXor[rBase+int32(h.want)] ^= lane
 				} else {
 					n.headWant[lane] = -1
 					n.headNextVC[lane] = 0
@@ -281,6 +285,9 @@ func (n *Network) purgeFaulted() {
 			}
 		}
 		n.bufFlits[ri] = total
+		if total > 0 {
+			n.markActive(ri)
+		}
 	}
 
 	// Timing wheel: filter dead in-flight flits, zeroing vacated slots so
@@ -327,17 +334,6 @@ func (n *Network) purgeFaulted() {
 			}
 		}
 	}
-
-	// Activity worklist: routers drained by the purge retire.
-	keep := n.active[:0]
-	for _, i := range n.active {
-		if n.bufFlits[i] > 0 {
-			keep = append(keep, i)
-		} else {
-			n.activeMark[i] = false
-		}
-	}
-	n.active = keep
 
 	// Release the dead packets' arena slots, in ascending slot order for
 	// deterministic reuse.

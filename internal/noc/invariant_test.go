@@ -3,15 +3,17 @@ package noc
 // The invariant harness is a first-class test surface for the kernel's
 // incrementally maintained state. auditNetwork recomputes every derived
 // quantity — buffered-flit totals, head-of-line mirrors, output request
-// counters, credits, the activity worklist, the packet arena — from the
-// ground truth (ring contents and timing-wheel buckets) and fails on any
-// divergence, so the property tests can audit a live network mid-flight,
-// across scheduled fault strikes and purges, in both routing modes.
+// counters and lane XORs, credits, the active-router bitset, the packet
+// arena — from the ground truth (ring contents and timing-wheel buckets)
+// and fails on any divergence, so the property tests can audit a live
+// network mid-flight, across scheduled fault strikes and purges, in both
+// routing modes.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/graph"
@@ -59,22 +61,29 @@ func auditNetwork(t testing.TB, n *Network, when string) {
 		if n.bufFlits[i] != total {
 			t.Fatalf("%s: router %d: bufFlits %d, rings hold %d", when, i, n.bufFlits[i], total)
 		}
-		if total > 0 && !n.activeMark[i] {
-			t.Fatalf("%s: router %d holds %d flits but is not on the active worklist", when, i, total)
+		// Between steps a router's bit is set exactly while it holds
+		// flits: switch allocation retires every router it drains.
+		if on := n.activeBits[i>>6]&(1<<(i&63)) != 0; on != (total > 0) {
+			t.Fatalf("%s: router %d holds %d flits but its active bit is %v", when, i, total, on)
 		}
 		for slot := int32(0); slot < ports; slot++ {
-			var cnt int32
+			var cnt, xor int32
 			for gi := base; gi < base+ports; gi++ {
 				for vc := int32(0); vc < V; vc++ {
 					lane := gi*V + vc
 					if n.ringN[lane] > 0 && n.headWant[lane] == int16(slot) {
 						cnt++
+						xor ^= lane
 					}
 				}
 			}
 			if n.wantCnt[base+slot] != cnt {
 				t.Fatalf("%s: router %d output %d: wantCnt %d, %d heads request it",
 					when, i, slot, n.wantCnt[base+slot], cnt)
+			}
+			if n.wantXor[base+slot] != xor {
+				t.Fatalf("%s: router %d output %d: wantXor %d, requesting lanes XOR to %d",
+					when, i, slot, n.wantXor[base+slot], xor)
 			}
 		}
 		for slot := int32(0); slot < ports; slot++ {
@@ -99,6 +108,13 @@ func auditNetwork(t testing.TB, n *Network, when string) {
 				}
 			}
 		}
+	}
+	pop := 0
+	for _, w := range n.activeBits {
+		pop += bits.OnesCount64(w)
+	}
+	if pop != n.nActive {
+		t.Fatalf("%s: nActive %d, active bitset holds %d routers", when, n.nActive, pop)
 	}
 	live := 0
 	for i := 1; i < len(n.pktSlots); i++ {

@@ -241,9 +241,9 @@ func TestIdleStepCostIsBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		net.Step()
 	}
-	if len(net.active) != 0 || len(net.srcActive) != 0 {
+	if net.nActive != 0 || len(net.srcActive) != 0 {
 		t.Fatalf("idle network has %d active routers, %d active sources",
-			len(net.active), len(net.srcActive))
+			net.nActive, len(net.srcActive))
 	}
 	if _, err := net.Inject(1, 16, 256, ""); err != nil {
 		t.Fatal(err)
@@ -252,9 +252,9 @@ func TestIdleStepCostIsBounded(t *testing.T) {
 		t.Fatal("did not drain")
 	}
 	net.Step()
-	if len(net.active) != 0 || len(net.srcActive) != 0 {
+	if net.nActive != 0 || len(net.srcActive) != 0 {
 		t.Fatalf("drained network still has %d active routers, %d active sources",
-			len(net.active), len(net.srcActive))
+			net.nActive, len(net.srcActive))
 	}
 	st := net.Stats()
 	if st.Delivered != 1 {

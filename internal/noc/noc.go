@@ -47,9 +47,14 @@
 //   - Flits in flight live on a timing wheel indexed by arrival cycle
 //     (the link+pipeline delay is a config constant), so delivery costs
 //     O(arrivals this cycle), not O(all flits in flight).
-//   - Switch allocation walks an active-router worklist — only routers
-//     with buffered flits arbitrate — so a cycle costs O(routers with
-//     work), and an idle network steps in O(1).
+//   - Switch allocation walks an active-router bitset in ascending
+//     router order — only routers with buffered flits arbitrate — so a
+//     cycle costs O(routers with work) plus one word per 64 routers, and
+//     an idle network steps in O(1).
+//   - Each output keeps a count of the buffered head flits requesting it
+//     and the XOR of their lane indices, so an output with one requester
+//     finds it without a scan, and a contended output stops scanning its
+//     inputs once it has seen every requester.
 //
 // Network.Reset rewinds a built network to its cold post-construction
 // state (cycle 0, empty buffers, full credits, zeroed statistics) without
@@ -60,9 +65,11 @@
 package noc
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
+	"unsafe"
 
 	"repro/internal/energy"
 	"repro/internal/graph"
@@ -96,9 +103,63 @@ func DefaultConfig() Config {
 	return Config{FlitBits: 32, BufferFlits: 4, NumVCs: 1, LinkCycles: 1, RouterCycles: 3, ClockMHz: 100}
 }
 
+// MaxVCs is the largest NumVCs a network accepts: route plans store each
+// hop's virtual channel in one byte.
+const MaxVCs = 256
+
+// MaxNetworkBytes is the memory budget of one network's kernel state —
+// input rings, per-lane and per-port arrays and the timing wheel, as
+// Config.checkSize estimates it. NewCompiled refuses a larger network
+// and SimRequest.CheckConfig a request that could build one.
+const MaxNetworkBytes = 256 << 20
+
+// ErrConfig rejects a hardware config: a nonpositive field, more than
+// MaxVCs virtual channels, more ring slots than the kernel's int32 lane
+// indices address, or a network above MaxNetworkBytes.
+var ErrConfig = errors.New("noc: bad config")
+
 func (c Config) validate() error {
 	if c.FlitBits <= 0 || c.BufferFlits <= 0 || c.NumVCs <= 0 || c.LinkCycles <= 0 || c.RouterCycles <= 0 || c.ClockMHz <= 0 {
-		return fmt.Errorf("noc: nonpositive config field: %+v", c)
+		return fmt.Errorf("%w: nonpositive field: %+v", ErrConfig, c)
+	}
+	if c.NumVCs > MaxVCs {
+		return fmt.Errorf("%w: %d VCs, max %d", ErrConfig, c.NumVCs, MaxVCs)
+	}
+	return nil
+}
+
+// Estimated kernel-state bytes per ring slot (one flit), per lane (ring
+// cursors, head mirrors, credits) and per port (port geometry, locks,
+// round-robin pointers and request counters, plus one router's and one
+// directed edge's share of the per-router and per-edge arrays, since
+// neither outnumbers the ports), and per timing-wheel bucket.
+const (
+	slotBytes   = int64(unsafe.Sizeof(flit{}))
+	laneBytes   = 20
+	portBytes   = 120
+	bucketBytes = int64(unsafe.Sizeof([]arrival(nil)))
+)
+
+// checkSize rejects a valid config on a network with the given port
+// count when its ring slots (ports × NumVCs × BufferFlits) overflow the
+// int32 lane arithmetic of the kernel, or when its estimated kernel
+// state exceeds MaxNetworkBytes. Neither check allocates.
+func (c Config) checkSize(ports int64) error {
+	lanes := ports * int64(c.NumVCs)
+	if lanes > math.MaxInt32 || (lanes > 0 && int64(c.BufferFlits) > math.MaxInt32/lanes) {
+		return fmt.Errorf("%w: %d ports × %d VCs × %d flits overflow the kernel's int32 ring indices",
+			ErrConfig, ports, c.NumVCs, c.BufferFlits)
+	}
+	maxDelay := int64(MaxNetworkBytes / bucketBytes)
+	if int64(c.LinkCycles) > maxDelay || int64(c.RouterCycles) > maxDelay {
+		return fmt.Errorf("%w: link %d + router %d cycles of timing wheel exceed the %d MB network budget",
+			ErrConfig, c.LinkCycles, c.RouterCycles, MaxNetworkBytes>>20)
+	}
+	bytes := lanes*int64(c.BufferFlits)*slotBytes + lanes*laneBytes + ports*portBytes +
+		(int64(c.LinkCycles)+int64(c.RouterCycles))*bucketBytes
+	if bytes > MaxNetworkBytes {
+		return fmt.Errorf("%w: %d ports × %d VCs × %d flits need ~%d MB of kernel state, budget %d MB",
+			ErrConfig, ports, c.NumVCs, c.BufferFlits, bytes>>20, MaxNetworkBytes>>20)
 	}
 	return nil
 }
@@ -291,6 +352,7 @@ type Network struct {
 	outLockedPkt []int32 // per output port: arena slot of the locking packet (0 free)
 	outRR        []int   // per output port: round-robin arbitration pointer
 	wantCnt      []int32 // per (router, slot) at portOff offsets: buffered head flits requesting the slot
+	wantXor      []int32 // per (router, slot) at portOff offsets: XOR of the lanes whose head flit requests the slot
 
 	cycle int64
 
@@ -307,9 +369,11 @@ type Network struct {
 	// holds a flit (bufFlits counts them); a source is active while its
 	// NI queue is nonempty. Inactive routers are provably no-ops for
 	// arbitration (no candidates, no state change), so Step skips them.
+	// activeBits holds bit i%64 of word i/64 for active router i, and
+	// nActive counts the set bits.
 	bufFlits   []int32
-	active     []int32
-	activeMark []bool
+	activeBits []uint64
+	nActive    int
 	srcActive  []int32
 	srcMark    []bool
 
@@ -430,6 +494,10 @@ func NewCompiled(cfg Config, arch *topology.Architecture, plans *routing.Compile
 			frz.EdgeCount(), arch.LinkCount())
 	}
 	R := frz.NodeCount()
+	// One port per directed edge out of each router plus its local port.
+	if err := cfg.checkSize(int64(frz.EdgeCount()) + int64(R)); err != nil {
+		return nil, err
+	}
 	n := &Network{
 		cfg:   cfg,
 		arch:  arch,
@@ -443,7 +511,7 @@ func NewCompiled(cfg Config, arch *topology.Architecture, plans *routing.Compile
 	n.linkTrav = make([]int64, frz.EdgeCount())
 	n.srcQueue = make([]pktRing, R)
 	n.bufFlits = make([]int32, R)
-	n.activeMark = make([]bool, R)
+	n.activeBits = make([]uint64, (R+63)/64)
 	n.srcMark = make([]bool, R)
 	n.wheelDelay = int64(cfg.LinkCycles) + int64(cfg.RouterCycles-1)
 	n.wheel = make([][]arrival, n.wheelDelay+1)
@@ -472,6 +540,7 @@ func NewCompiled(cfg Config, arch *topology.Architecture, plans *routing.Compile
 	n.outLockedPkt = make([]int32, P)
 	n.outRR = make([]int, P)
 	n.wantCnt = make([]int32, P)
+	n.wantXor = make([]int32, P)
 
 	// Wire ports from the frozen adjacency. The architecture graph carries
 	// both directions of every physical link, so the CSR out-row of a
@@ -549,7 +618,9 @@ func (n *Network) pushFlit(to, gi int32, f flit) {
 	if n.ringN[lane] == 0 {
 		n.headWant[lane] = f.want
 		n.headNextVC[lane] = f.nextVC
-		n.wantCnt[n.portOff[to]+int32(f.want)]++
+		w := n.portOff[to] + int32(f.want)
+		n.wantCnt[w]++
+		n.wantXor[w] ^= lane
 	}
 	tail := n.ringHead[lane] + n.ringN[lane]
 	if tail >= B {
@@ -579,12 +650,16 @@ func (n *Network) popFlit(to, gi, vc int32) flit {
 	}
 	n.ringHead[lane] = h
 	n.ringN[lane]--
-	n.wantCnt[n.portOff[to]+int32(f.want)]--
+	w := n.portOff[to] + int32(f.want)
+	n.wantCnt[w]--
+	n.wantXor[w] ^= lane
 	if n.ringN[lane] > 0 {
 		nh := &n.ringBuf[base+h]
 		n.headWant[lane] = nh.want
 		n.headNextVC[lane] = nh.nextVC
-		n.wantCnt[n.portOff[to]+int32(nh.want)]++
+		w = n.portOff[to] + int32(nh.want)
+		n.wantCnt[w]++
+		n.wantXor[w] ^= lane
 	} else {
 		n.headWant[lane] = -1
 	}
@@ -650,16 +725,15 @@ func (n *Network) Reset() {
 	clear(n.outLockedPkt)
 	clear(n.outRR)
 	clear(n.wantCnt)
+	clear(n.wantXor)
 	for i := range n.srcQueue {
 		n.srcQueue[i].reset()
 	}
 	clear(n.pktSlots)
 	n.pktSlots = n.pktSlots[:1]
 	n.freeSlots = n.freeSlots[:0]
-	for _, i := range n.active {
-		n.activeMark[i] = false
-	}
-	n.active = n.active[:0]
+	clear(n.activeBits)
+	n.nActive = 0
 	for _, i := range n.srcActive {
 		n.srcMark[i] = false
 	}
@@ -906,9 +980,10 @@ func (n *Network) RunUntilDrained(maxCycles int64) bool {
 
 // markActive flags a router as holding buffered flits.
 func (n *Network) markActive(i int32) {
-	if !n.activeMark[i] {
-		n.activeMark[i] = true
-		n.active = append(n.active, i)
+	w, b := i>>6, uint64(1)<<(i&63)
+	if n.activeBits[w]&b == 0 {
+		n.activeBits[w] |= b
+		n.nActive++
 	}
 }
 
@@ -964,82 +1039,111 @@ func (n *Network) injectFromNIs() {
 // required because credits returned at one router are visible to
 // higher-indexed routers within the same cycle. Routers without buffered
 // flits can produce no arbitration candidates and no state change, so
-// skipping them is behavior-preserving.
+// skipping them is behavior-preserving. The bitset walk is in router
+// order by construction, and a router retires as soon as it has
+// arbitrated with nothing left buffered: switch allocation never pushes
+// into a ring (sent flits land through the timing wheel, at least one
+// cycle later), so no router's bit can be set during the walk.
 func (n *Network) switchAllocation() {
-	if len(n.active) == 0 {
-		return
-	}
-	slices.Sort(n.active)
-	for _, idx := range n.active {
-		base := n.portOff[idx]
-		for _, slot := range n.portOrder[base:n.portOff[idx+1]] {
-			if n.wantCnt[base+slot] > 0 {
-				n.arbitrate(idx, slot)
+	left := n.nActive
+	for w := 0; left > 0; w++ {
+		word := n.activeBits[w]
+		left -= bits.OnesCount64(word)
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			idx := int32(w<<6 | b)
+			base := n.portOff[idx]
+			for _, slot := range n.portOrder[base:n.portOff[idx+1]] {
+				if n.wantCnt[base+slot] > 0 {
+					n.arbitrate(idx, slot)
+				}
+			}
+			if n.bufFlits[idx] == 0 {
+				n.activeBits[w] &^= 1 << b
+				n.nActive--
 			}
 		}
 	}
-	keep := n.active[:0]
-	for _, idx := range n.active {
-		if n.bufFlits[idx] > 0 {
-			keep = append(keep, idx)
-		} else {
-			n.activeMark[idx] = false
-		}
-	}
-	n.active = keep
 }
 
-// arbitrate picks one input VC for router i's output port at the given
-// local slot and moves its head-of-line flit.
+// arbitrate moves the head-of-line flit pick chooses for router i's
+// output port at the given local slot, advancing the output's
+// round-robin pointer exactly when a flit moves.
 func (n *Network) arbitrate(i, outSlot int32) {
+	slot, vc, ok := n.pick(i, outSlot)
+	if !ok {
+		return
+	}
+	g := n.portOff[i] + outSlot
+	n.outRR[g]++
+	n.moveFlit(i, g, slot, vc)
+}
+
+// pick chooses the input (slot, vc) that router i's output port at
+// outSlot serves this cycle, without changing any state. The choice is
+// the round-robin pointer's entry among the admissible requesters —
+// head flits that request the output and, off the local port, have a
+// downstream credit — listed in portOrder order, VC ascending within a
+// port. The requester count and XOR kept per output let it skip the
+// scan that listing implies: a single requester is found directly, and
+// a contended scan stops once it has met every requester.
+func (n *Network) pick(i, outSlot int32) (slot, vc int32, ok bool) {
 	base := n.portOff[i]
 	g := base + outSlot
 	V := int32(n.cfg.NumVCs)
-	want := int16(outSlot)
 	local := n.outLocal[g]
 	if lk := n.outLocked[g]; lk >= 0 {
-		// Wormhole fast path: while the output is locked, the only
-		// admissible candidate is the locked (slot, vc) — every other
-		// requester fails the lock filter — and that queue's head, if
-		// any, is the locked packet's next flit (per-VC FIFO order). The
-		// full scan would build a one-element or empty candidate set.
-		slot, vc := lk/V, lk%V
+		// Wormhole: while the output is locked, the only admissible
+		// candidate is the locked (slot, vc) — every other requester
+		// fails the lock filter — and that queue's head, if any, is the
+		// locked packet's next flit (per-VC FIFO order).
+		slot, vc = lk/V, lk%V
 		lane := (base+slot)*V + vc
-		if n.headWant[lane] != want {
-			return
+		if n.headWant[lane] != int16(outSlot) {
+			return 0, 0, false
 		}
 		if !local && n.credits[g*V+int32(n.headNextVC[lane])] <= 0 {
-			return
+			return 0, 0, false
 		}
-		n.outRR[g]++
-		n.moveFlit(i, g, slot, vc)
-		return
+		return slot, vc, true
+	}
+	want := n.wantCnt[g]
+	if want == 1 {
+		// One requester: the XOR of one lane index is that lane, and a
+		// one-candidate round robin always picks it.
+		lane := n.wantXor[g]
+		if !local && n.credits[g*V+int32(n.headNextVC[lane])] <= 0 {
+			return 0, 0, false
+		}
+		return lane/V - base, lane % V, true
 	}
 	// cands collects input (slot, vc) pairs encoded as slot*NumVCs+vc, in
 	// ascending port order (the deterministic arbitration domain).
 	cands := n.candScratch[:0]
-	for _, slot := range n.portOrder[base:n.portOff[i+1]] {
-		laneBase := (base + slot) * V
-		for vc := int32(0); vc < V; vc++ {
+scan:
+	for _, s := range n.portOrder[base:n.portOff[i+1]] {
+		laneBase := (base + s) * V
+		for v := int32(0); v < V; v++ {
 			// headWant is -1 for an empty ring, never matching a slot.
-			if n.headWant[laneBase+vc] != want {
+			if n.headWant[laneBase+v] != int16(outSlot) {
 				continue
 			}
 			// Credit check for the downstream buffer (the VC of the NEXT
 			// hop governs which buffer the flit lands in).
-			if !local && n.credits[g*V+int32(n.headNextVC[laneBase+vc])] <= 0 {
-				continue
+			if local || n.credits[g*V+int32(n.headNextVC[laneBase+v])] > 0 {
+				cands = append(cands, s*V+v)
 			}
-			cands = append(cands, slot*V+vc)
+			if want--; want == 0 {
+				break scan
+			}
 		}
 	}
 	if len(cands) == 0 {
-		return
+		return 0, 0, false
 	}
-	// Round-robin among candidates.
 	key := cands[n.outRR[g]%len(cands)]
-	n.outRR[g]++
-	n.moveFlit(i, g, key/V, key%V)
+	return key / V, key % V, true
 }
 
 // moveFlit pops the head flit of router i's input (selSlot, selVC) and

@@ -73,6 +73,9 @@ func (s *Service) submitSimulate(req SimulateRequest) (admission, error) {
 	if err := req.Sim.CheckWindows(); err != nil {
 		return admission{}, err
 	}
+	if err := req.Sim.CheckConfig(); err != nil {
+		return admission{}, err
+	}
 	timeout := req.Timeout
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout

@@ -147,9 +147,9 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
-	// Request-shape errors (partitions other than 0 or 1 and cycle
-	// windows above noc.MaxTraceCycles included) reject at submit with
-	// 400. Deeper build errors
+	// Request-shape errors (partitions other than 0 or 1, cycle windows
+	// above noc.MaxTraceCycles and configs over the kernel's size limits
+	// included) reject at submit with 400. Deeper build errors
 	// (an unknown pattern) only surface when the worker builds the batch,
 	// so they fail the job — the wait path reports that as 500 with the
 	// build error, matching how a failed solve is reported.
@@ -169,6 +169,8 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 		"horizon above bound": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":100000000,"seed":1}]}`,
 			http.StatusBadRequest},
 		"horizon overflow": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":9223372036854775807,"measureCycles":9223372036854775807,"seed":1}]}`,
+			http.StatusBadRequest},
+		"oversized config": {`{"archs":[{"mesh":"4x4"}],"config":{"numVCs":65536,"bufferFlits":65536},"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1}]}`,
 			http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/simulate?wait=1", "application/json", bytes.NewReader([]byte(tc.body)))
@@ -258,6 +260,35 @@ func TestSimulateRejectsWindowsBeforeQueueing(t *testing.T) {
 		job, _, err := s.SubmitSimulate(SimulateRequest{Sim: req})
 		if !errors.Is(err, noc.ErrWindows) || job != nil {
 			t.Errorf("windows %v: job %v, err %v", w, job, err)
+		}
+	}
+	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {
+		t.Errorf("%d rejected submissions were admitted", n)
+	}
+}
+
+// TestSimulateRejectsOversizedConfigBeforeQueueing: a config whose
+// networks would exceed the kernel's size limits (the 4x4 mesh at
+// 65536 VCs × 65536 flits used to run the daemon out of memory inside
+// the batch) fails submission with noc.ErrConfig and queues nothing.
+func TestSimulateRejectsOversizedConfigBeforeQueueing(t *testing.T) {
+	s := newStubService(t, Config{Workers: 1})
+	for _, c := range []noc.SimConfig{
+		{NumVCs: 65536, BufferFlits: 65536},
+		{NumVCs: noc.MaxVCs + 1},
+		{NumVCs: 64, BufferFlits: 1 << 16},
+	} {
+		req := &noc.SimRequest{
+			Archs:  []noc.SimArch{{Mesh: "4x4"}},
+			Config: &c,
+			Points: []noc.SimPoint{{
+				Arch: 0, Pattern: "uniform", Bits: 64, Rate: 0.02,
+				WarmupCycles: 10, MeasureCycles: 20, Seed: 1,
+			}},
+		}
+		job, _, err := s.SubmitSimulate(SimulateRequest{Sim: req})
+		if !errors.Is(err, noc.ErrConfig) || job != nil {
+			t.Errorf("config %+v: job %v, err %v", c, job, err)
 		}
 	}
 	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {
