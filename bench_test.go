@@ -170,22 +170,23 @@ func BenchmarkTableAES_Custom(b *testing.B) {
 }
 
 // BenchmarkSweepUniformMesh times one three-point saturation sweep of
-// the 4x4 evaluation mesh under uniform traffic (short windows): the
-// per-characterization cost of the PR 4 workload subsystem, and the
-// inner loop of `experiments -batch -sweeppatterns`.
+// the 4x4 evaluation mesh under uniform traffic (short windows),
+// including the mesh's route compile: the per-characterization cost of
+// the workload subsystem, and the inner loop of
+// `experiments -batch -sweeppatterns`.
 func BenchmarkSweepUniformMesh(b *testing.B) {
 	cfg := DefaultNetworkConfig()
-	newNet := func() (*noc.Network, error) {
-		net, _, err := MeshNetwork(4, 4, nil, cfg)
-		return net, err
-	}
 	pat, err := noc.NewPattern("uniform", 16)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := noc.Sweep(context.Background(), newNet, noc.SweepConfig{
+		arch, ct, err := CompileMesh(4, 4, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := noc.Sweep(context.Background(), noc.BatchArch{Cfg: cfg, Arch: arch, Table: ct}, noc.SweepConfig{
 			Pattern:       pat,
 			Bits:          128,
 			Rates:         []float64{0.02, 0.1, 0.3},
@@ -212,11 +213,7 @@ func BenchmarkSweepUniformMesh(b *testing.B) {
 // pre-kernel simulator scanned every router, port and VC (709.6 ns/op on
 // this 4x4 mesh at the PR 5 seed).
 func BenchmarkStepIdle(b *testing.B) {
-	newNet, _, err := MeshNetworkFactory(4, 4, nil, DefaultNetworkConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := newNet()
+	net, _, err := MeshNetwork(4, 4, nil, DefaultNetworkConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,11 +230,7 @@ func BenchmarkStepIdle(b *testing.B) {
 // acceptance bar is ~0 allocs/op (the seed kernel spent 46 allocs and
 // 1400 B per packet on route/VC/slot slices and the packet itself).
 func BenchmarkInjectRouted(b *testing.B) {
-	newNet, _, err := MeshNetworkFactory(4, 4, nil, DefaultNetworkConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := newNet()
+	net, _, err := MeshNetwork(4, 4, nil, DefaultNetworkConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -259,11 +252,7 @@ func BenchmarkInjectRouted(b *testing.B) {
 // inner loop of the sweep harness after the per-worker network reuse
 // (the seed harness rebuilt architecture, routing and wiring per point).
 func BenchmarkSweepReset(b *testing.B) {
-	newNet, _, err := MeshNetworkFactory(4, 4, nil, DefaultNetworkConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := newNet()
+	net, _, err := MeshNetwork(4, 4, nil, DefaultNetworkConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -285,11 +285,11 @@ func runTableReliability(ctx context.Context) {
 	for _, mode := range []noc.RoutingMode{noc.RoutingOblivious, noc.RoutingAdaptive} {
 		cfg := noc.DefaultConfig()
 		cfg.NumVCs = 2
-		newNet, arch, err := repro.MeshNetworkFactory(4, 4, nil, cfg)
+		arch, ct, err := repro.CompileMesh(4, 4, nil, nil)
 		check(err)
 		pat, err := noc.NewPattern("uniform", 16)
 		check(err)
-		res, err := noc.ReliabilitySweep(ctx, arch, newNet, noc.ReliabilityConfig{
+		res, err := noc.ReliabilitySweep(ctx, noc.BatchArch{Cfg: cfg, Arch: arch, Table: ct}, noc.ReliabilityConfig{
 			Sweep: noc.SweepConfig{
 				Pattern:       pat,
 				Bits:          128,

@@ -50,7 +50,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/noc"
-	"repro/internal/topology"
 
 	repro "repro"
 )
@@ -199,24 +198,16 @@ func main() {
 		demand = pat.Pairs()
 	}
 
-	// newNet builds a cold simulator over the selected architecture; the
-	// sweep harness calls it once per worker and rewinds it between rate
-	// points, and every network it returns shares one compiled routing
-	// table (built here, once, for the pattern's demand).
-	var newNet func() (*noc.Network, error)
-	var arch *topology.Architecture
+	// arch is the selected architecture with its routing table compiled
+	// once, here, for the pattern's demand: the sweep harness draws every
+	// network it simulates from it, and the single run below builds one.
+	arch := noc.BatchArch{Cfg: cfg}
 	if *mesh != "" {
-		factory, meshArch, err := repro.MeshNetworkFactoryPairs(meshRows, meshCols, nil, cfg, demand)
-		check(err)
-		newNet = factory
-		arch = meshArch
+		arch.Arch, arch.Table, err = repro.CompileMesh(meshRows, meshCols, nil, demand)
 	} else {
-		res := synthRes
-		newNet = func() (*noc.Network, error) { return res.NewNetworkPairs(cfg, demand) }
-		arch = synthRes.Architecture
+		arch.Arch = synthRes.Architecture
+		arch.Table, err = synthRes.CompiledRoutingPairs(demand)
 	}
-
-	net, err := newNet()
 	check(err)
 
 	if *sweep || *faultRates != "" {
@@ -236,10 +227,10 @@ func main() {
 			Routing:       mode,
 		}
 		if *faultRates != "" {
-			runReliability(ctx, arch, newNet, scfg, *faultRates, *faultSeed, *out)
+			runReliability(ctx, arch, scfg, *faultRates, *faultSeed, *out)
 			return
 		}
-		res, err := noc.Sweep(ctx, newNet, scfg)
+		res, err := noc.Sweep(ctx, arch, scfg)
 		check(err)
 		sink := os.Stdout
 		if *out != "-" && *out != "" {
@@ -268,6 +259,8 @@ func main() {
 		return
 	}
 
+	net, err := noc.NewCompiled(cfg, arch.Arch, arch.Table)
+	check(err)
 	check(net.SetRouting(mode))
 	if fm != nil {
 		check(net.ResetWithFaults(fm))
@@ -369,7 +362,7 @@ func runSimBatch(ctx context.Context, path string, parallel int, out string, mem
 // runReliability reruns the injection-rate sweep across the -faultrates
 // ladder (a deterministic connectivity-preserving random link subset per
 // rate) and emits the reliability surface as JSON.
-func runReliability(ctx context.Context, arch *topology.Architecture, newNet func() (*noc.Network, error), scfg noc.SweepConfig, spec string, faultSeed int64, out string) {
+func runReliability(ctx context.Context, arch noc.BatchArch, scfg noc.SweepConfig, spec string, faultSeed int64, out string) {
 	var frates []float64
 	for _, f := range strings.Split(spec, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
@@ -378,7 +371,7 @@ func runReliability(ctx context.Context, arch *topology.Architecture, newNet fun
 		}
 		frates = append(frates, r)
 	}
-	res, err := noc.ReliabilitySweep(ctx, arch, newNet, noc.ReliabilityConfig{
+	res, err := noc.ReliabilitySweep(ctx, arch, noc.ReliabilityConfig{
 		Sweep:      scfg,
 		FaultRates: frates,
 		FaultSeed:  faultSeed,

@@ -17,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/randgraph"
@@ -56,10 +58,11 @@ func poolKeyFor(cfg Config, table *routing.CompiledTable) poolKey {
 }
 
 // Acquire returns a cold network for (cfg, arch, table): a pooled one
-// rewound by Reset when available, else a fresh NewCompiled build.
-// Sticky per-network toggles (routing mode, packet recycling) survive
-// pooling exactly as they survive Reset, so callers that depend on them
-// reassert them after Acquire.
+// rewound by Reset when available, else a fresh NewCompiled build, which
+// is cold already. This Reset is the only rewind a fault-free Batch
+// point gets. Sticky per-network toggles (routing mode, packet
+// recycling) survive pooling exactly as they survive Reset, so callers
+// that depend on them reassert them after Acquire.
 func (p *NetworkPool) Acquire(cfg Config, arch *topology.Architecture, table *routing.CompiledTable) (*Network, error) {
 	if table == nil {
 		return nil, fmt.Errorf("noc: pool acquire needs a compiled table")
@@ -161,14 +164,19 @@ type Batch struct {
 }
 
 // Run simulates every point and returns the measurements by point
-// index. The first per-point error aborts the batch.
+// index. Workers claim point indices atomically, draw a cold network for
+// the point's architecture from the pool, install the point's faults if
+// it has any, simulate, and write results by index, so the output is
+// independent of worker count and scheduling. The first per-point error
+// aborts the batch.
 func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 	if len(b.Points) == 0 {
 		return nil, fmt.Errorf("noc: batch has no points")
 	}
-	specs := make([]pointSpec, len(b.Points))
-	for i := range b.Points {
-		pt := &b.Points[i]
+	// points is the validated copy the workers read, with the defaults
+	// applied; the caller's slice is left as given.
+	points := make([]BatchPoint, len(b.Points))
+	for i, pt := range b.Points {
 		if pt.Arch < 0 || pt.Arch >= len(b.Archs) {
 			return nil, fmt.Errorf("noc: batch point %d references architecture %d of %d", i, pt.Arch, len(b.Archs))
 		}
@@ -186,51 +194,80 @@ func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 		if pt.Rate <= 0 || pt.Rate > 1 {
 			return nil, fmt.Errorf("noc: batch point %d rate %g outside (0, 1]", i, pt.Rate)
 		}
-		if pt.Bits <= 0 {
-			return nil, fmt.Errorf("noc: batch point %d packet bits %d", i, pt.Bits)
+		if err := checkPacketBits(pt.Bits, a.Cfg.FlitBits); err != nil {
+			return nil, fmt.Errorf("noc: batch point %d: %w", i, err)
 		}
 		if err := checkWindows(pt.WarmupCycles, pt.MeasureCycles); err != nil {
 			return nil, fmt.Errorf("noc: batch point %d: %w", i, err)
 		}
-		batches := pt.Batches
-		if batches <= 0 {
-			batches = 10
+		if pt.Batches <= 0 {
+			pt.Batches = 10
 		}
-		thresh := pt.SaturationThreshold
-		if thresh <= 0 || thresh >= 1 {
-			thresh = 0.9
+		if pt.SaturationThreshold <= 0 || pt.SaturationThreshold >= 1 {
+			pt.SaturationThreshold = 0.9
 		}
-		specs[i] = pointSpec{
-			pattern:      pt.Pattern,
-			bits:         pt.Bits,
-			rate:         pt.Rate,
-			warmup:       pt.WarmupCycles,
-			measure:      pt.MeasureCycles,
-			batches:      batches,
-			seed:         pt.Seed,
-			burst:        pt.Burst,
-			satThreshold: thresh,
-			faults:       pt.Faults,
-			routing:      pt.Routing,
-		}
+		points[i] = pt
 	}
 	pool := b.Pool
 	if pool == nil {
 		pool = NewNetworkPool()
 	}
-	return runPoints(ctx, b.Parallelism, specs, func() (func(int) (*Network, error), func(int, *Network)) {
-		get := func(i int) (*Network, error) {
-			a := &b.Archs[b.Points[i].Arch]
-			return pool.Acquire(a.Cfg, a.Arch, a.Table)
-		}
-		put := func(i int, net *Network) {
-			if b.OnPoint != nil {
-				b.OnPoint(i, net)
+	workers := b.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(points))
+
+	results := make([]RatePoint, len(points))
+	errs := make([]error, len(points))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch Trace
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(points) {
+					return
+				}
+				pt := &points[i]
+				a := &b.Archs[pt.Arch]
+				net, err := pool.Acquire(a.Cfg, a.Arch, a.Table)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				// Recycling is always on for fleet networks (the fleet
+				// never retains packets past delivery) and the routing mode
+				// is reasserted per point: both are cheap no-ops when
+				// already set, and a pooled network may arrive configured
+				// for a different point. Acquire handed the network over
+				// cold, so only a faulted point rewinds it again, to
+				// install its faults.
+				net.SetPacketRecycling(true)
+				errs[i] = net.SetRouting(pt.Routing)
+				if errs[i] == nil && pt.Faults != nil {
+					errs[i] = net.ResetWithFaults(pt.Faults)
+				}
+				if errs[i] == nil {
+					results[i], scratch, errs[i] = simPoint(ctx, net, pt, scratch)
+				}
+				if b.OnPoint != nil {
+					b.OnPoint(i, net)
+				}
+				pool.Release(net)
 			}
-			pool.Release(net)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return get, put
-	})
+	}
+	return results, nil
 }
 
 // maxSimNodes bounds wire-requested topologies. Architectures up to
@@ -459,7 +496,7 @@ type SimPoint struct {
 	Routing string `json:"routing,omitempty"`
 	// Partitions is kept for wire compatibility only: 0 (omitted) and 1
 	// both select the serial kernel, the only one there is, and any
-	// other value fails CheckPartitions. The field stays in the
+	// other value fails Check. The field stays in the
 	// canonical encoding, so 0 and 1 keep their existing (distinct)
 	// content addresses.
 	Partitions int `json:"partitions,omitempty"`
@@ -482,18 +519,6 @@ type SimRequest struct {
 // ErrPartitions rejects a SimPoint.Partitions value other than 0 or 1.
 var ErrPartitions = errors.New("noc: partitions must be 0 or 1")
 
-// CheckPartitions returns an error wrapping ErrPartitions if any point
-// asks for a partition count other than 0 or 1. It is cheap, so callers
-// that queue requests run it before admitting them.
-func (r *SimRequest) CheckPartitions() error {
-	for i := range r.Points {
-		if p := r.Points[i].Partitions; p != 0 && p != 1 {
-			return fmt.Errorf("%w: sim point %d has %d", ErrPartitions, i, p)
-		}
-	}
-	return nil
-}
-
 // ErrWindows rejects a point's cycle windows: a negative warmup, an
 // empty measurement window, or a generated horizon warmup+measure above
 // MaxTraceCycles.
@@ -509,28 +534,18 @@ func checkWindows(warmup, measure int64) error {
 	return nil
 }
 
-// CheckWindows returns an error wrapping ErrWindows if any point's
-// cycle windows are invalid or span more than MaxTraceCycles. Like
-// CheckPartitions it is cheap, so callers that queue requests run it
-// before admitting them.
-func (r *SimRequest) CheckWindows() error {
-	for i := range r.Points {
-		if err := checkWindows(r.Points[i].WarmupCycles, r.Points[i].MeasureCycles); err != nil {
-			return fmt.Errorf("sim point %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// CheckConfig returns an error wrapping ErrConfig if the request's
-// hardware config is out of bounds (more than MaxVCs virtual channels)
-// or could build a network whose rings overflow the kernel's int32 lane
-// indices or whose kernel state exceeds MaxNetworkBytes. It sizes each
-// architecture from its spec alone (SimArch.portBound), so it allocates
-// nothing in proportion to the request and callers that queue requests
-// run it before admitting them. NewCompiled repeats the size check
-// against the built topology.
-func (r *SimRequest) CheckConfig() error {
+// Check is the admission check of a request: every point's partitions
+// must be 0 or 1 (ErrPartitions), its cycle windows valid (ErrWindows)
+// and its packets no longer than MaxTraceCycles flits (ErrConfig); the
+// hardware config must be in bounds (ErrConfig: more than MaxVCs virtual
+// channels, rings that overflow the kernel's int32 lane indices, or
+// kernel state above MaxNetworkBytes). It sizes each architecture from
+// its spec alone (SimArch.portBound) and allocates nothing in
+// proportion to the request, so callers that queue requests run it
+// before admitting them; BuildBatch runs it too, and NewCompiled repeats
+// the size check against the built topology. Other point fields (rate,
+// a nonpositive bit count) are checked when the batch runs.
+func (r *SimRequest) Check() error {
 	cfg := r.Config.resolve()
 	if err := cfg.validate(); err != nil {
 		return err
@@ -542,6 +557,20 @@ func (r *SimRequest) CheckConfig() error {
 		}
 		if err := cfg.checkSize(ports); err != nil {
 			return fmt.Errorf("sim architecture %d: %w", i, err)
+		}
+	}
+	for i := range r.Points {
+		sp := &r.Points[i]
+		if sp.Partitions != 0 && sp.Partitions != 1 {
+			return fmt.Errorf("%w: sim point %d has %d", ErrPartitions, i, sp.Partitions)
+		}
+		if err := checkWindows(sp.WarmupCycles, sp.MeasureCycles); err != nil {
+			return fmt.Errorf("sim point %d: %w", i, err)
+		}
+		if sp.Bits > 0 {
+			if err := checkPacketBits(sp.Bits, cfg.FlitBits); err != nil {
+				return fmt.Errorf("sim point %d: %w", i, err)
+			}
 		}
 	}
 	return nil
@@ -571,13 +600,7 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 	if len(req.Points) == 0 {
 		return nil, fmt.Errorf("noc: sim request has no points")
 	}
-	if err := req.CheckPartitions(); err != nil {
-		return nil, err
-	}
-	if err := req.CheckWindows(); err != nil {
-		return nil, err
-	}
-	if err := req.CheckConfig(); err != nil {
+	if err := req.Check(); err != nil {
 		return nil, err
 	}
 	cfg := req.Config.resolve()

@@ -232,11 +232,11 @@ func TestCycleWindowsBound(t *testing.T) {
 		if _, err := BuildBatch(req); !errors.Is(err, ErrWindows) {
 			t.Errorf("BuildBatch windows %v: err %v, want ErrWindows", w, err)
 		}
-		if err := req.CheckWindows(); !errors.Is(err, ErrWindows) {
-			t.Errorf("CheckWindows windows %v: err %v, want ErrWindows", w, err)
+		if err := req.Check(); !errors.Is(err, ErrWindows) {
+			t.Errorf("Check windows %v: err %v, want ErrWindows", w, err)
 		}
 		cfg := SweepConfig{Pattern: b.Points[0].Pattern, Rates: []float64{0.01}, Bits: 64, WarmupCycles: w[0], MeasureCycles: w[1]}
-		if err := cfg.validate(); !errors.Is(err, ErrWindows) {
+		if _, err := Sweep(context.Background(), b.Archs[0], cfg); !errors.Is(err, ErrWindows) {
 			t.Errorf("Sweep windows %v: err %v, want ErrWindows", w, err)
 		}
 	}

@@ -194,9 +194,10 @@ func TestBatchReusesPooledNetworks(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSweep cross-checks the two front ends of the shared
-// point fleet: a Batch whose points mirror a Sweep's ladder (same
-// PointSeed derivation) must produce identical RatePoints.
+// TestBatchMatchesSweep pins the PointSeed derivation: a Batch whose
+// points mirror a Sweep's ladder (point i seeded PointSeed(seed, i))
+// must produce identical RatePoints, which is what callers that batch
+// sweep ladders themselves rely on.
 func TestBatchMatchesSweep(t *testing.T) {
 	arch, ct := compiledMesh(t, 4, 4)
 	cfg := DefaultConfig()
@@ -206,9 +207,7 @@ func TestBatchMatchesSweep(t *testing.T) {
 	}
 	rates := []float64{0.02, 0.1, 0.3}
 	const seed = 42
-	sres, err := Sweep(context.Background(), func() (*Network, error) {
-		return NewCompiled(cfg, arch, ct)
-	}, SweepConfig{
+	sres, err := Sweep(context.Background(), BatchArch{Cfg: cfg, Arch: arch, Table: ct}, SweepConfig{
 		Pattern: pat, Bits: 128, Rates: rates,
 		WarmupCycles: 300, MeasureCycles: 1500, Seed: seed, Parallelism: 1,
 	})

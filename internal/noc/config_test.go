@@ -65,7 +65,7 @@ func TestConfigBounds(t *testing.T) {
 	}
 }
 
-// TestSimArchPortBound checks the spec-only port bound CheckConfig
+// TestSimArchPortBound checks the spec-only port bound Check
 // sizes requests with: exact for a mesh, never below the built
 // topology's port count for BA and link-list architectures.
 func TestSimArchPortBound(t *testing.T) {
@@ -98,7 +98,7 @@ func TestSimArchPortBound(t *testing.T) {
 }
 
 // TestSimRequestConfigBound: an oversized config is rejected by
-// CheckConfig and by BuildBatch before anything proportional to the
+// Check and by BuildBatch before anything proportional to the
 // requested size is allocated.
 func TestSimRequestConfigBound(t *testing.T) {
 	req := &SimRequest{
@@ -113,8 +113,8 @@ func TestSimRequestConfigBound(t *testing.T) {
 		{LinkCycles: math.MaxInt, RouterCycles: math.MaxInt},
 	} {
 		req.Config = &c
-		if err := req.CheckConfig(); !errors.Is(err, ErrConfig) {
-			t.Errorf("CheckConfig %+v: err %v, want ErrConfig", c, err)
+		if err := req.Check(); !errors.Is(err, ErrConfig) {
+			t.Errorf("Check %+v: err %v, want ErrConfig", c, err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -130,11 +130,78 @@ func TestSimRequestConfigBound(t *testing.T) {
 	// The budget binds on topology size too: a config that fits a 4x4
 	// mesh is refused on the largest mesh a request may name.
 	req.Config = &SimConfig{NumVCs: 16, BufferFlits: 64}
-	if err := req.CheckConfig(); err != nil {
+	if err := req.Check(); err != nil {
 		t.Fatalf("4x4 at 16 VCs × 64 flits: %v", err)
 	}
 	req.Archs = []SimArch{{Mesh: "128x128"}}
-	if err := req.CheckConfig(); !errors.Is(err, ErrConfig) {
+	if err := req.Check(); !errors.Is(err, ErrConfig) {
 		t.Errorf("128x128 at 16 VCs × 64 flits: err %v, want ErrConfig", err)
+	}
+}
+
+// TestPacketBitsBound: a packet whose flit count exceeds MaxTraceCycles
+// (MaxInt64 bits used to overflow the count negative, so the packet
+// never got a tail and a 4x4 point reported nothing delivered) is
+// refused with ErrConfig by the admission check, BuildBatch, RunSim,
+// Batch.Run, Sweep, Inject and InjectRouted.
+func TestPacketBitsBound(t *testing.T) {
+	mk := func(bits int, flitBits int) *SimRequest {
+		return &SimRequest{
+			Archs:  []SimArch{{Mesh: "4x4"}},
+			Config: &SimConfig{FlitBits: flitBits},
+			Points: []SimPoint{{
+				Arch: 0, Pattern: "uniform", Bits: bits, Rate: 0.1,
+				WarmupCycles: 10, MeasureCycles: 50, Seed: 1,
+			}},
+		}
+	}
+	// With 1-bit flits a packet of MaxTraceCycles-1 bits is exactly
+	// MaxTraceCycles flits; one more bit is over the bound.
+	if err := mk(int(MaxTraceCycles)-1, 1).Check(); err != nil {
+		t.Fatalf("packet of MaxTraceCycles flits rejected: %v", err)
+	}
+	for _, c := range []struct{ bits, flitBits int }{
+		{math.MaxInt64, 0},
+		{math.MaxInt64, 1},
+		{math.MaxInt64, 32},
+		{int(MaxTraceCycles), 1},
+	} {
+		req := mk(c.bits, c.flitBits)
+		if err := req.Check(); !errors.Is(err, ErrConfig) {
+			t.Errorf("Check %d bits on %d-bit flits: err %v, want ErrConfig", c.bits, c.flitBits, err)
+		}
+		if _, err := BuildBatch(req); !errors.Is(err, ErrConfig) {
+			t.Errorf("BuildBatch %d bits: err %v, want ErrConfig", c.bits, err)
+		}
+		if _, err := RunSim(t.Context(), req, 1); !errors.Is(err, ErrConfig) {
+			t.Errorf("RunSim %d bits: err %v, want ErrConfig", c.bits, err)
+		}
+	}
+
+	b, err := BuildBatch(mk(128, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Points[0].Bits = math.MaxInt64
+	if _, err := b.Run(t.Context()); !errors.Is(err, ErrConfig) {
+		t.Errorf("Batch.Run MaxInt64 bits: err %v, want ErrConfig", err)
+	}
+	scfg := SweepConfig{Pattern: b.Points[0].Pattern, Bits: math.MaxInt64, Rates: []float64{0.1}, MeasureCycles: 50}
+	if _, err := Sweep(t.Context(), b.Archs[0], scfg); !errors.Is(err, ErrConfig) {
+		t.Errorf("Sweep MaxInt64 bits: err %v, want ErrConfig", err)
+	}
+
+	net, err := NewCompiled(b.Archs[0].Cfg, b.Archs[0].Arch, b.Archs[0].Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Inject(1, 2, math.MaxInt64, ""); !errors.Is(err, ErrConfig) {
+		t.Errorf("Inject MaxInt64 bits: err %v, want ErrConfig", err)
+	}
+	if _, err := net.InjectRouted(1, 2, math.MaxInt64, "", []graph.NodeID{1, 2}, []int{0, 0}); !errors.Is(err, ErrConfig) {
+		t.Errorf("InjectRouted MaxInt64 bits: err %v, want ErrConfig", err)
+	}
+	if net.Pending() != 0 || net.Stats().Injected != 0 {
+		t.Errorf("refused packets were queued: pending %d, injected %d", net.Pending(), net.Stats().Injected)
 	}
 }

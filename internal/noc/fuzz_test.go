@@ -1,15 +1,19 @@
 package noc
 
-// Fuzz targets for the two user-facing parsers: the -pattern spec
-// (NewPattern) and the -faults spec (ParseFaultMap). Seed corpus lives
-// under testdata/fuzz/; run with
+// Fuzz targets for the user-facing parsers — the -pattern spec
+// (NewPattern) and the -faults spec (ParseFaultMap) — and for the
+// simulate admission check (SimRequest.Check). Seed corpus lives under
+// testdata/fuzz/ and in the f.Add calls; run with
 //
 //	go test ./internal/noc -fuzz FuzzParseFaultMap -fuzztime 30s
 //
-// The properties are parser-shaped: no panic on any input, and accepted
-// inputs must survive a canonical-form round trip.
+// The parser properties are parser-shaped: no panic on any input, and
+// accepted inputs must survive a canonical-form round trip. The
+// admission property is a bound: whatever Check accepts is small enough
+// to simulate.
 
 import (
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -106,6 +110,52 @@ func FuzzParseFaultMap(f *testing.F) {
 		}
 		if again.Len() != m.Len() {
 			t.Fatalf("round trip changed event count: %d -> %d", m.Len(), again.Len())
+		}
+	})
+}
+
+func FuzzSimRequestCheck(f *testing.F) {
+	const point = `"arch":0,"pattern":"uniform","rate":0.1,"seed":1`
+	for _, req := range []string{
+		`{"archs":[{"mesh":"4x4"}],"points":[{` + point + `,"bits":128,"warmupCycles":10,"measureCycles":50}]}`,
+		`{"archs":[{"mesh":"4x4"}],"points":[{` + point + `,"bits":9223372036854775807,"warmupCycles":10,"measureCycles":50}]}`,
+		`{"archs":[{"mesh":"4x4"}],"config":{"flitBits":1},"points":[{` + point + `,"bits":100000000,"warmupCycles":10,"measureCycles":50}]}`,
+		`{"archs":[{"mesh":"4x4"}],"config":{"flitBits":1},"points":[{` + point + `,"bits":99999999,"warmupCycles":10,"measureCycles":50}]}`,
+		`{"archs":[{"mesh":"4x4"}],"points":[{` + point + `,"bits":128,"warmupCycles":-1,"measureCycles":50}]}`,
+		`{"archs":[{"mesh":"4x4"}],"points":[{` + point + `,"bits":128,"warmupCycles":10,"measureCycles":-50}]}`,
+		`{"archs":[{"mesh":"4x4"}],"points":[{` + point + `,"bits":128,"warmupCycles":9223372036854775807,"measureCycles":9223372036854775807}]}`,
+		`{"archs":[{"mesh":"4x4"}],"points":[{` + point + `,"bits":128,"warmupCycles":10,"measureCycles":50,"partitions":2}]}`,
+		`{"archs":[{"mesh":"4x4"}],"config":{"numVCs":65536,"bufferFlits":65536},"points":[{` + point + `,"bits":128,"warmupCycles":10,"measureCycles":50}]}`,
+		`{"archs":[{"ba":"64:2:3"},{"links":[[1,2],[2,3]]}],"points":[{` + point + `,"bits":-5,"warmupCycles":0,"measureCycles":1}]}`,
+		`{"archs":[],"points":[]}`,
+		`{`,
+	} {
+		f.Add([]byte(req))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req SimRequest
+		if err := json.Unmarshal(data, &req); err != nil {
+			return
+		}
+		if err := req.Check(); err != nil {
+			return
+		}
+		cfg := req.Config.resolve()
+		if cfg.FlitBits <= 0 || cfg.NumVCs > MaxVCs {
+			t.Fatalf("Check accepted config %+v", cfg)
+		}
+		for i, sp := range req.Points {
+			if sp.Partitions != 0 && sp.Partitions != 1 {
+				t.Fatalf("point %d: Check accepted partitions %d", i, sp.Partitions)
+			}
+			if sp.WarmupCycles < 0 || sp.MeasureCycles <= 0 || sp.WarmupCycles+sp.MeasureCycles > MaxTraceCycles {
+				t.Fatalf("point %d: Check accepted windows warmup=%d measure=%d", i, sp.WarmupCycles, sp.MeasureCycles)
+			}
+			// The flit count 2 + (bits-1)/FlitBits, compared without
+			// overflowing.
+			if sp.Bits > 0 && int64((sp.Bits-1)/cfg.FlitBits) > MaxTraceCycles-2 {
+				t.Fatalf("point %d: Check accepted %d-bit packets on %d-bit flits", i, sp.Bits, cfg.FlitBits)
+			}
 		}
 	})
 }

@@ -50,11 +50,11 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// scaleFreeNet builds a deterministic Barabási–Albert architecture
+// scaleFreeArch builds a deterministic Barabási–Albert architecture
 // (arXiv:0908.0976 regime, far larger hub skew than the 4x4 mesh) with
 // schedule-free shortest-path routing and the dateline VC assignment —
 // the second scenario of the golden suite.
-func scaleFreeNet(t testing.TB, cfg Config) (func() (*Network, error), int) {
+func scaleFreeArch(t testing.TB, cfg Config) BatchArch {
 	t.Helper()
 	g, err := randgraph.BarabasiAlbert(24, 2, 8, 64, 5)
 	if err != nil {
@@ -83,7 +83,11 @@ func scaleFreeNet(t testing.TB, cfg Config) (func() (*Network, error), int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func() (*Network, error) { return New(cfg, arch, table, vcs) }, len(arch.Nodes())
+	ct, err := routing.CompileTable(table, arch, vcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BatchArch{Cfg: cfg, Arch: arch, Table: ct}
 }
 
 // TestGoldenSweepJSON pins SweepResult.EncodeJSON byte for byte on the
@@ -92,21 +96,18 @@ func scaleFreeNet(t testing.TB, cfg Config) (func() (*Network, error), int) {
 // every worker count.
 func TestGoldenSweepJSON(t *testing.T) {
 	type scenario struct {
-		name   string
-		newNet func() (*Network, error)
-		nodes  int
-		spec   string
-		rates  []float64
-		seed   int64
+		name  string
+		arch  BatchArch
+		spec  string
+		rates []float64
+		seed  int64
 	}
-	meshNew := meshFactory(t, 4, 4, DefaultConfig())
-	sfNew, sfNodes := scaleFreeNet(t, DefaultConfig())
 	scenarios := []scenario{
-		{"sweep_mesh4x4_uniform.golden.json", meshNew, 16, "uniform", []float64{0.01, 0.05, 0.12, 0.3}, 42},
-		{"sweep_scalefree_hotspot.golden.json", sfNew, sfNodes, "hotspot:0:0.5", []float64{0.01, 0.05, 0.15}, 9},
+		{"sweep_mesh4x4_uniform.golden.json", meshArch(t, 4, 4, DefaultConfig()), "uniform", []float64{0.01, 0.05, 0.12, 0.3}, 42},
+		{"sweep_scalefree_hotspot.golden.json", scaleFreeArch(t, DefaultConfig()), "hotspot:0:0.5", []float64{0.01, 0.05, 0.15}, 9},
 	}
 	for _, sc := range scenarios {
-		pat, err := NewPattern(sc.spec, sc.nodes)
+		pat, err := NewPattern(sc.spec, len(sc.arch.Arch.Nodes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestGoldenSweepJSON(t *testing.T) {
 		}
 		encode := func(par int) []byte {
 			cfg.Parallelism = par
-			res, err := Sweep(context.Background(), sc.newNet, cfg)
+			res, err := Sweep(context.Background(), sc.arch, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
@@ -145,25 +146,22 @@ func TestGoldenSweepJSON(t *testing.T) {
 // aggregates) must survive the kernel refactor unchanged.
 func TestGoldenStatsJSON(t *testing.T) {
 	type scenario struct {
-		name   string
-		newNet func() (*Network, error)
-		nodes  int
-		spec   string
-		seed   int64
-		rate   float64
+		name string
+		arch BatchArch
+		spec string
+		seed int64
+		rate float64
 	}
-	meshNew := meshFactory(t, 4, 4, DefaultConfig())
-	sfNew, sfNodes := scaleFreeNet(t, DefaultConfig())
 	scenarios := []scenario{
-		{"stats_mesh4x4_uniform.golden.json", meshNew, 16, "uniform", 7, 0.05},
-		{"stats_scalefree_uniform.golden.json", sfNew, sfNodes, "uniform", 11, 0.04},
+		{"stats_mesh4x4_uniform.golden.json", meshArch(t, 4, 4, DefaultConfig()), "uniform", 7, 0.05},
+		{"stats_scalefree_uniform.golden.json", scaleFreeArch(t, DefaultConfig()), "uniform", 11, 0.04},
 	}
 	for _, sc := range scenarios {
-		net, err := sc.newNet()
+		net, err := NewCompiled(sc.arch.Cfg, sc.arch.Arch, sc.arch.Table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pat, err := NewPattern(sc.spec, sc.nodes)
+		pat, err := NewPattern(sc.spec, len(sc.arch.Arch.Nodes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -451,22 +451,10 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.NumVCs = 2
-	arch, err := topology.Mesh(4, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := routing.XY(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vcs, err := routing.AssignVirtualChannels(table, arch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newNet := func() (*Network, error) { return New(cfg, arch, table, vcs) }
+	arch := meshArch(t, 4, 4, cfg)
 	var blobs [][]byte
 	for _, par := range []int{1, 4} {
-		res, err := Sweep(t.Context(), newNet, SweepConfig{
+		res, err := Sweep(t.Context(), arch, SweepConfig{
 			Pattern:       pat,
 			Bits:          128,
 			Rates:         []float64{0.02, 0.08, 0.2},

@@ -58,8 +58,10 @@
 //
 // Network.Reset rewinds a built network to its cold post-construction
 // state (cycle 0, empty buffers, full credits, zeroed statistics) without
-// rebuilding the wiring, which is how the sweep harness and the batch
-// engine's network pool reuse one network across many simulation points.
+// rebuilding the wiring. NetworkPool.Acquire calls it when it hands out
+// a pooled network, which is how Batch, and Sweep and ReliabilitySweep
+// on top of it, reuse one network across many simulation points; it is
+// the only rewind a fault-free point gets.
 // All of this is behavior preserving: the golden tests pin simulated
 // results byte for byte against the pre-kernel simulator.
 package noc
@@ -110,7 +112,7 @@ const MaxVCs = 256
 // MaxNetworkBytes is the memory budget of one network's kernel state —
 // input rings, per-lane and per-port arrays and the timing wheel, as
 // Config.checkSize estimates it. NewCompiled refuses a larger network
-// and SimRequest.CheckConfig a request that could build one.
+// and SimRequest.Check a request that could build one.
 const MaxNetworkBytes = 256 << 20
 
 // ErrConfig rejects a hardware config: a nonpositive field, more than
@@ -674,11 +676,10 @@ func (n *Network) popFlit(to, gi, vc int32) flit {
 // packet arena and the packet-recycling mode are retained (re-disable
 // recycling explicitly if the next workload retains packets), so a
 // Reset network simulates observably identically to a freshly built one
-// while costing no rebuild — the contract the sweep harness and the
-// batch engine's network pool rely on to reuse one network across
-// simulation points. With the struct-of-arrays layout the rewind is a
-// fixed set of bulk clears over flat arrays: O(ports·VCs) with memclr
-// constants, no per-router pointer walks.
+// while costing no rebuild — the contract NetworkPool relies on to
+// reuse one network across simulation points. With the struct-of-arrays
+// layout the rewind is a fixed set of bulk clears over flat arrays:
+// O(ports·VCs) with memclr constants, no per-router pointer walks.
 //
 // Reset also restores the pristine, fault-free topology: every fault a
 // previous ResetWithFaults installed — static or already struck mid-run
@@ -796,9 +797,12 @@ func (n *Network) freePacket(p *Packet) {
 // refused with an error wrapping ErrRouteFaulted and counted under
 // Stats.Blocked (not Injected) — the oblivious table cannot route
 // around faults; that is exactly the gap adaptive mode closes.
+//
+// A packet of more than MaxTraceCycles flits is refused with an error
+// wrapping ErrConfig.
 func (n *Network) Inject(src, dst graph.NodeID, bits int, tag string) (*Packet, error) {
-	if bits <= 0 {
-		return nil, fmt.Errorf("noc: packet bits %d", bits)
+	if err := checkPacketBits(bits, n.cfg.FlitBits); err != nil {
+		return nil, err
 	}
 	if src == dst {
 		return nil, fmt.Errorf("noc: self-addressed packet at node %d", src)
@@ -840,8 +844,8 @@ func (n *Network) Inject(src, dst graph.NodeID, bits int, tag string) (*Packet, 
 // deadlock-free. The route is validated hop by hop and copied into the
 // packet's own buffers (reused across recycles).
 func (n *Network) InjectRouted(src, dst graph.NodeID, bits int, tag string, route []graph.NodeID, vcs []int) (*Packet, error) {
-	if bits <= 0 {
-		return nil, fmt.Errorf("noc: packet bits %d", bits)
+	if err := checkPacketBits(bits, n.cfg.FlitBits); err != nil {
+		return nil, err
 	}
 	if src == dst {
 		return nil, fmt.Errorf("noc: self-addressed packet at node %d", src)
@@ -905,6 +909,23 @@ func (n *Network) InjectRouted(src, dst graph.NodeID, bits int, tag string, rout
 	return p, nil
 }
 
+// checkPacketBits rejects a nonpositive payload, and, with an error
+// wrapping ErrConfig, a payload of more than MaxTraceCycles flits: such
+// a packet cannot finish within any admissible window. A nonpositive
+// flitBits is left to the config check.
+func checkPacketBits(bits, flitBits int) error {
+	if bits <= 0 {
+		return fmt.Errorf("noc: packet bits %d", bits)
+	}
+	// The flit count is 2 + (bits-1)/flitBits; compared this way it
+	// cannot overflow at any bits.
+	if flitBits > 0 && int64((bits-1)/flitBits) > MaxTraceCycles-2 {
+		return fmt.Errorf("%w: %d-bit packet on %d-bit flits exceeds %d flits",
+			ErrConfig, bits, flitBits, MaxTraceCycles)
+	}
+	return nil
+}
+
 // enqueue finishes packet setup — including its arena slot, which flits
 // use to refer to it — and appends it to the source NI queue.
 func (n *Network) enqueue(p *Packet, src, dst graph.NodeID, bits int, tag string, srcIdx int32) {
@@ -916,7 +937,7 @@ func (n *Network) enqueue(p *Packet, src, dst graph.NodeID, bits int, tag string
 	p.Payload = nil
 	p.InjectCycle = n.cycle
 	p.EjectCycle = 0
-	p.flits = 1 + (bits+n.cfg.FlitBits-1)/n.cfg.FlitBits
+	p.flits = 2 + (bits-1)/n.cfg.FlitBits // head + ceil(bits/FlitBits)
 	p.injected = 0
 	if k := len(n.freeSlots); k > 0 {
 		p.arenaIdx = n.freeSlots[k-1]

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/topology"
 )
 
 // ReliabilityConfig parameterizes a reliability sweep: the same
@@ -74,23 +72,24 @@ func (r *ReliabilityResult) EncodeJSON(w io.Writer) error {
 
 // ReliabilitySweep runs the fault-rate ladder: for each rate it fails a
 // deterministic random, connectivity-preserving subset of the
-// architecture's links and re-runs the full injection-rate sweep on the
-// degraded network. The architecture must be the one newNet's networks
-// simulate. Deterministic end to end for fixed seeds.
-func ReliabilitySweep(ctx context.Context, arch *topology.Architecture, newNet func() (*Network, error), cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	if arch == nil {
+// architecture's links and re-runs the full injection-rate sweep (Sweep)
+// on the degraded network. The faults are drawn from arch.Arch, the
+// topology every simulated network is built over. Deterministic end to
+// end for fixed seeds.
+func ReliabilitySweep(ctx context.Context, arch BatchArch, cfg ReliabilityConfig) (*ReliabilityResult, error) {
+	if arch.Arch == nil {
 		return nil, fmt.Errorf("noc: reliability sweep needs an architecture")
 	}
 	if len(cfg.FaultRates) == 0 {
 		return nil, fmt.Errorf("noc: reliability sweep needs a fault-rate ladder")
 	}
 	res := &ReliabilityResult{
-		Architecture: arch.Name,
+		Architecture: arch.Arch.Name,
 		Routing:      cfg.Sweep.Routing.String(),
 		FaultSeed:    cfg.FaultSeed,
 	}
 	for i, rate := range cfg.FaultRates {
-		fm, err := RandomLinkFaults(arch, rate, pointSeed(cfg.FaultSeed, i))
+		fm, err := RandomLinkFaults(arch.Arch, rate, PointSeed(cfg.FaultSeed, i))
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +98,7 @@ func ReliabilitySweep(ctx context.Context, arch *topology.Architecture, newNet f
 		if fm.Len() > 0 {
 			scfg.Faults = fm
 		}
-		sres, err := Sweep(ctx, newNet, scfg)
+		sres, err := Sweep(ctx, arch, scfg)
 		if err != nil {
 			return nil, fmt.Errorf("noc: reliability fault rate %g: %w", rate, err)
 		}

@@ -3,27 +3,12 @@ package noc
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 func TestReliabilitySweep(t *testing.T) {
-	arch, err := topology.Mesh(4, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := routing.XY(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vcs, err := routing.AssignVirtualChannels(table, arch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultConfig()
 	cfg.NumVCs = 2
-	newNet := func() (*Network, error) { return New(cfg, arch, table, vcs) }
+	arch := meshArch(t, 4, 4, cfg)
 	pat, err := NewPattern("uniform", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +29,7 @@ func TestReliabilitySweep(t *testing.T) {
 	}
 	run := func() *ReliabilityResult {
 		t.Helper()
-		res, err := ReliabilitySweep(t.Context(), arch, newNet, rcfg)
+		res, err := ReliabilitySweep(t.Context(), arch, rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +72,12 @@ func TestReliabilitySweep(t *testing.T) {
 		t.Fatal("reliability sweep not deterministic across runs")
 	}
 
-	if _, err := ReliabilitySweep(t.Context(), nil, newNet, rcfg); err == nil {
+	if _, err := ReliabilitySweep(t.Context(), BatchArch{Cfg: cfg}, rcfg); err == nil {
 		t.Fatal("nil architecture accepted")
 	}
 	bad := rcfg
 	bad.FaultRates = nil
-	if _, err := ReliabilitySweep(t.Context(), arch, newNet, bad); err == nil {
+	if _, err := ReliabilitySweep(t.Context(), arch, bad); err == nil {
 		t.Fatal("empty ladder accepted")
 	}
 }

@@ -6,18 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
 
 // SweepConfig parameterizes an open-loop injection-rate sweep: the same
 // spatial pattern driven across an ascending rate ladder, each rate on a
-// cold network (one reusable network per worker, rewound by Reset
-// between points), with the standard warmup-discard methodology and
+// cold network, with the standard warmup-discard methodology and
 // batch-means confidence intervals over the measured latencies.
 type SweepConfig struct {
 	// Pattern is the spatial pattern, built for the network's node count.
@@ -51,7 +47,7 @@ type SweepConfig struct {
 	// open-loop network cannot eject packets as fast as the sources offer
 	// them, so the two curves diverge.
 	SaturationThreshold float64
-	// Faults, when non-nil, is installed on every worker network
+	// Faults, when non-nil, is installed on the network
 	// (ResetWithFaults) before each rate point: static failures are
 	// present from cycle zero, scheduled ones strike mid-point. Offered
 	// load still counts every generated packet; injections the faults
@@ -136,185 +132,52 @@ func (r *SweepResult) EncodeJSON(w io.Writer) error {
 	return err
 }
 
-func (c *SweepConfig) validate() error {
-	if c.Pattern == nil {
-		return fmt.Errorf("noc: sweep needs a pattern")
-	}
-	if len(c.Rates) == 0 {
-		return fmt.Errorf("noc: sweep needs a rate ladder")
-	}
-	for i, r := range c.Rates {
-		if r <= 0 || r > 1 {
-			return fmt.Errorf("noc: sweep rate %g outside (0, 1]", r)
-		}
-		if i > 0 && r <= c.Rates[i-1] {
-			return fmt.Errorf("noc: rate ladder not strictly ascending at %g", r)
-		}
-	}
-	if c.Bits <= 0 {
-		return fmt.Errorf("noc: sweep packet bits %d", c.Bits)
-	}
-	if err := checkWindows(c.WarmupCycles, c.MeasureCycles); err != nil {
-		return fmt.Errorf("noc: sweep: %w", err)
-	}
-	return nil
-}
-
-// pointSeed derives the per-rate-point generator seed: a fixed mix of
-// the sweep seed and the point index, so a point's schedule does not
-// depend on which worker simulates it or in what order.
-func pointSeed(seed int64, i int) int64 {
+// PointSeed derives rate point i's absolute traffic seed from a sweep
+// seed: a fixed mix of the two, so a point's schedule does not depend on
+// which worker simulates it or in what order. Sweep fills each point's
+// BatchPoint.Seed with it; Batch callers reproducing a Sweep's points
+// byte for byte use it the same way.
+func PointSeed(seed int64, i int) int64 {
 	return int64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15)
 }
 
-// PointSeed is the derivation Sweep applies to produce rate point i's
-// absolute traffic seed from the sweep seed. Batch callers reproducing a
-// Sweep's points byte-for-byte use it to fill BatchPoint.Seed.
-func PointSeed(seed int64, i int) int64 { return pointSeed(seed, i) }
-
-// pointSpec is the fully resolved description of one simulation point —
-// the shared currency of Sweep and Batch. The seed is absolute (Sweep
-// derives per-point seeds via pointSeed before building specs), and
-// defaults (batches, saturation threshold) are already applied.
-type pointSpec struct {
-	pattern      *Pattern
-	bits         int
-	rate         float64
-	warmup       int64
-	measure      int64
-	batches      int
-	seed         int64
-	burst        *BurstConfig
-	satThreshold float64
-	faults       *FaultMap
-	routing      RoutingMode
-}
-
-// runPoints drives the shared point fleet: workers claim spec indices
-// atomically, obtain a network through their worker-local source,
-// rewind it cold (Reset or ResetWithFaults per spec), simulate, and
-// write results by index — so the output is independent of worker count
-// and scheduling. source is invoked once per worker goroutine and
-// returns that worker's (get, put) pair: get may hand back a dirty
-// network (the fleet rewinds it); put returns it after the point
-// completes (a no-op for worker-owned networks, a free-list release for
-// pooled ones). The first per-point error aborts the result.
-func runPoints(ctx context.Context, parallelism int, specs []pointSpec,
-	source func() (get func(i int) (*Network, error), put func(i int, net *Network))) ([]RatePoint, error) {
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Sweep runs the rate ladder over one architecture as a Batch: point i
+// is rate i with seed PointSeed(cfg.Seed, i), simulated at
+// cfg.Parallelism on a private network pool, so the router wiring and
+// the compiled route plans are built once per worker, not once per
+// rate, and every point still starts from a cold network. Sweep checks
+// only the ladder's shape (non-empty, strictly ascending); Batch.Run
+// validates each point and applies the defaults.
+func Sweep(ctx context.Context, arch BatchArch, cfg SweepConfig) (*SweepResult, error) {
+	if len(cfg.Rates) == 0 {
+		return nil, fmt.Errorf("noc: sweep needs a rate ladder")
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	points := make([]RatePoint, len(specs))
-	errs := make([]error, len(specs))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			get, put := source()
-			var scratch Trace
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(specs) {
-					return
-				}
-				net, err := get(i)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				sp := &specs[i]
-				// Recycling is always on for harness networks (the fleet
-				// never retains packets past delivery) and the routing mode
-				// is reasserted per point: both are cheap no-ops when
-				// already set, and a pooled network may arrive configured
-				// for a different point.
-				net.SetPacketRecycling(true)
-				if err := net.SetRouting(sp.routing); err != nil {
-					errs[i] = err
-					put(i, net)
-					continue
-				}
-				if sp.faults != nil {
-					if errs[i] = net.ResetWithFaults(sp.faults); errs[i] != nil {
-						put(i, net)
-						continue
-					}
-				} else {
-					net.Reset()
-				}
-				points[i], scratch, errs[i] = simPoint(ctx, net, sp, scratch)
-				put(i, net)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for i := 1; i < len(cfg.Rates); i++ {
+		if cfg.Rates[i] <= cfg.Rates[i-1] {
+			return nil, fmt.Errorf("noc: rate ladder not strictly ascending at %g", cfg.Rates[i])
 		}
 	}
-	return points, nil
-}
-
-// Sweep runs the rate ladder. newNet must build a fresh, cold network
-// over the same architecture; Sweep calls it once per worker and rewinds
-// the network with Reset between rate points (each point still starts
-// from empty buffers and cycle zero), so the router wiring and compiled
-// route plans are built once, not once per rate. Packet recycling is
-// enabled on the sweep's networks — the harness never retains packets
-// past delivery — making the steady-state simulate loop allocation-free.
-func Sweep(ctx context.Context, newNet func() (*Network, error), cfg SweepConfig) (*SweepResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	b := &Batch{
+		Archs:       []BatchArch{arch},
+		Points:      make([]BatchPoint, len(cfg.Rates)),
+		Parallelism: cfg.Parallelism,
 	}
-	if cfg.Batches <= 0 {
-		cfg.Batches = 10
-	}
-	if cfg.SaturationThreshold <= 0 || cfg.SaturationThreshold >= 1 {
-		cfg.SaturationThreshold = 0.9
-	}
-	specs := make([]pointSpec, len(cfg.Rates))
 	for i, r := range cfg.Rates {
-		specs[i] = pointSpec{
-			pattern:      cfg.Pattern,
-			bits:         cfg.Bits,
-			rate:         r,
-			warmup:       cfg.WarmupCycles,
-			measure:      cfg.MeasureCycles,
-			batches:      cfg.Batches,
-			seed:         pointSeed(cfg.Seed, i),
-			burst:        cfg.Burst,
-			satThreshold: cfg.SaturationThreshold,
-			faults:       cfg.Faults,
-			routing:      cfg.Routing,
+		b.Points[i] = BatchPoint{
+			Pattern:             cfg.Pattern,
+			Bits:                cfg.Bits,
+			Rate:                r,
+			WarmupCycles:        cfg.WarmupCycles,
+			MeasureCycles:       cfg.MeasureCycles,
+			Batches:             cfg.Batches,
+			Seed:                PointSeed(cfg.Seed, i),
+			Burst:               cfg.Burst,
+			SaturationThreshold: cfg.SaturationThreshold,
+			Faults:              cfg.Faults,
+			Routing:             cfg.Routing,
 		}
 	}
-	points, err := runPoints(ctx, cfg.Parallelism, specs, func() (func(int) (*Network, error), func(int, *Network)) {
-		// Each worker owns one factory-built network for its whole run.
-		var net *Network
-		get := func(int) (*Network, error) {
-			if net != nil {
-				return net, nil
-			}
-			n, err := newNet()
-			if err != nil {
-				return nil, err
-			}
-			if n.Cycle() != 0 || n.Pending() != 0 {
-				return nil, fmt.Errorf("noc: sweep network factory returned a warm network")
-			}
-			net = n
-			return net, nil
-		}
-		return get, func(int, *Network) {}
-	})
+	points, err := b.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -349,21 +212,21 @@ func Sweep(ctx context.Context, newNet func() (*Network, error), cfg SweepConfig
 // reusable scratch buffer), run the warmup with statistics discarded at
 // its end (ResetStats), then measure. The (possibly grown) trace buffer
 // is returned to the caller for the next point.
-func simPoint(ctx context.Context, net *Network, sp *pointSpec, scratch Trace) (RatePoint, Trace, error) {
-	pt := RatePoint{Rate: sp.rate, MeasuredCycles: sp.measure}
-	horizon := sp.warmup + sp.measure
-	trace, err := GenerateTraceInto(scratch, sp.pattern, TrafficConfig{
+func simPoint(ctx context.Context, net *Network, sp *BatchPoint, scratch Trace) (RatePoint, Trace, error) {
+	pt := RatePoint{Rate: sp.Rate, MeasuredCycles: sp.MeasureCycles}
+	horizon := sp.WarmupCycles + sp.MeasureCycles
+	trace, err := GenerateTraceInto(scratch, sp.Pattern, TrafficConfig{
 		Nodes: net.Nodes(),
-		Bits:  sp.bits,
-		Rate:  sp.rate,
-		Seed:  sp.seed,
-		Burst: sp.burst,
+		Bits:  sp.Bits,
+		Rate:  sp.Rate,
+		Seed:  sp.Seed,
+		Burst: sp.Burst,
 	}, horizon)
 	if err != nil {
 		return pt, trace, err
 	}
 	for _, ev := range trace {
-		if ev.Cycle >= sp.warmup {
+		if ev.Cycle >= sp.WarmupCycles {
 			pt.Injected++
 		}
 	}
@@ -371,7 +234,7 @@ func simPoint(ctx context.Context, net *Network, sp *pointSpec, scratch Trace) (
 	var lats []float64
 	ti := 0
 	for net.cycle < horizon {
-		if net.cycle == sp.warmup {
+		if net.cycle == sp.WarmupCycles {
 			net.ResetStats()
 			net.OnEject(func(p *Packet) { lats = append(lats, float64(p.Latency())) })
 		}
@@ -382,7 +245,7 @@ func simPoint(ctx context.Context, net *Network, sp *pointSpec, scratch Trace) (
 				// harness failure: the event is skipped and the network has
 				// counted it under Stats.Blocked.
 				if !errors.Is(err, ErrRouteFaulted) {
-					return pt, trace, fmt.Errorf("noc: sweep rate %g event %d: %w", sp.rate, ti, err)
+					return pt, trace, fmt.Errorf("noc: sweep rate %g event %d: %w", sp.Rate, ti, err)
 				}
 			}
 			ti++
@@ -399,11 +262,11 @@ func simPoint(ctx context.Context, net *Network, sp *pointSpec, scratch Trace) (
 
 	st := net.Stats()
 	n := float64(len(net.Nodes()))
-	window := float64(sp.measure)
+	window := float64(sp.MeasureCycles)
 	pt.Offered = float64(pt.Injected) / (n * window)
 	pt.Delivered = st.Delivered
 	pt.Accepted = float64(st.Delivered) / (n * window)
-	pt.AvgLatency, pt.LatencyCI95 = stats.BatchMeans(lats, sp.batches)
+	pt.AvgLatency, pt.LatencyCI95 = stats.BatchMeans(lats, sp.Batches)
 	pt.MinLatency = st.MinLatency()
 	pt.MaxLatency = st.LatencyMax
 	if len(lats) > 0 {
@@ -421,6 +284,6 @@ func simPoint(ctx context.Context, net *Network, sp *pointSpec, scratch Trace) (
 	// capacity (without faults the two loads are identical).
 	deliverable := pt.Offered - float64(st.Blocked+st.Dropped)/(n*window)
 	pt.Saturated = pt.Offered > 0 &&
-		(pt.Delivered == 0 || pt.Accepted < sp.satThreshold*deliverable)
+		(pt.Delivered == 0 || pt.Accepted < sp.SaturationThreshold*deliverable)
 	return pt, trace, nil
 }

@@ -4,26 +4,13 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
-func meshFactory(t *testing.T, rows, cols int, cfg Config) func() (*Network, error) {
+// meshArch is the XY-routed rows x cols mesh as a sweep architecture.
+func meshArch(t *testing.T, rows, cols int, cfg Config) BatchArch {
 	t.Helper()
-	arch, err := topology.Mesh(rows, cols, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := routing.XY(rows, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := routing.AssignVirtualChannels(table, arch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func() (*Network, error) { return New(cfg, arch, table, vc) }
+	arch, ct := compiledMesh(t, rows, cols)
+	return BatchArch{Cfg: cfg, Arch: arch, Table: ct}
 }
 
 func sweepConfig(t *testing.T, pattern string, rates []float64, par int) SweepConfig {
@@ -47,10 +34,10 @@ func sweepConfig(t *testing.T, pattern string, rates []float64, par int) SweepCo
 // determinism contract: same seed + pattern + rates => byte-identical
 // JSON, across repeated runs and across Parallelism settings.
 func TestSweepDeterminism(t *testing.T) {
-	newNet := meshFactory(t, 4, 4, DefaultConfig())
+	arch := meshArch(t, 4, 4, DefaultConfig())
 	rates := []float64{0.01, 0.03, 0.08, 0.2}
 	encode := func(par int) []byte {
-		res, err := Sweep(context.Background(), newNet, sweepConfig(t, "uniform", rates, par))
+		res, err := Sweep(context.Background(), arch, sweepConfig(t, "uniform", rates, par))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,10 +60,10 @@ func TestSweepDeterminism(t *testing.T) {
 // offered load, carries warmup-discarded latency stats, and reaches a
 // detected saturation point at the top of the default-style ladder.
 func TestSweepAllPatternsSaturate(t *testing.T) {
-	newNet := meshFactory(t, 4, 4, DefaultConfig())
+	arch := meshArch(t, 4, 4, DefaultConfig())
 	rates := []float64{0.01, 0.05, 0.12, 0.3}
 	for _, name := range PatternNames() {
-		res, err := Sweep(context.Background(), newNet, sweepConfig(t, name, rates, 0))
+		res, err := Sweep(context.Background(), arch, sweepConfig(t, name, rates, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -105,8 +92,8 @@ func TestSweepAllPatternsSaturate(t *testing.T) {
 }
 
 func TestSweepLatencyRisesTowardSaturation(t *testing.T) {
-	newNet := meshFactory(t, 4, 4, DefaultConfig())
-	res, err := Sweep(context.Background(), newNet,
+	arch := meshArch(t, 4, 4, DefaultConfig())
+	res, err := Sweep(context.Background(), arch,
 		sweepConfig(t, "uniform", []float64{0.01, 0.3}, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +108,7 @@ func TestSweepLatencyRisesTowardSaturation(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	newNet := meshFactory(t, 2, 2, DefaultConfig())
+	arch := meshArch(t, 2, 2, DefaultConfig())
 	p, err := NewPattern("uniform", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -129,34 +116,34 @@ func TestSweepValidation(t *testing.T) {
 	base := SweepConfig{Pattern: p, Bits: 64, Rates: []float64{0.01}, MeasureCycles: 100}
 	bad := base
 	bad.Rates = []float64{0.05, 0.02}
-	if _, err := Sweep(context.Background(), newNet, bad); err == nil {
+	if _, err := Sweep(context.Background(), arch, bad); err == nil {
 		t.Fatal("descending ladder accepted")
 	}
 	bad = base
 	bad.Rates = nil
-	if _, err := Sweep(context.Background(), newNet, bad); err == nil {
+	if _, err := Sweep(context.Background(), arch, bad); err == nil {
 		t.Fatal("empty ladder accepted")
 	}
 	bad = base
 	bad.Pattern = nil
-	if _, err := Sweep(context.Background(), newNet, bad); err == nil {
+	if _, err := Sweep(context.Background(), arch, bad); err == nil {
 		t.Fatal("nil pattern accepted")
 	}
 	bad = base
 	bad.MeasureCycles = 0
-	if _, err := Sweep(context.Background(), newNet, bad); err == nil {
+	if _, err := Sweep(context.Background(), arch, bad); err == nil {
 		t.Fatal("zero measurement window accepted")
 	}
 }
 
 func TestSweepContextCancellation(t *testing.T) {
-	newNet := meshFactory(t, 4, 4, DefaultConfig())
+	arch := meshArch(t, 4, 4, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := sweepConfig(t, "uniform", []float64{0.01, 0.05}, 1)
 	cfg.WarmupCycles = 10_000
 	cfg.MeasureCycles = 100_000
-	if _, err := Sweep(ctx, newNet, cfg); err == nil {
+	if _, err := Sweep(ctx, arch, cfg); err == nil {
 		t.Fatal("canceled sweep returned no error")
 	}
 }

@@ -140,9 +140,10 @@ func (n *Network) ReplayWithContext(ctx context.Context, trace Trace, drainLimit
 // may span. A degenerate injection rate (e.g. 1e-12 packets/node/cycle)
 // would otherwise spin the cycle loop for ~count/rate iterations — weeks
 // of wall time — before producing its packets. GenerateTrace rejects a
-// longer horizon; Sweep, Batch.Run, BuildBatch and SimRequest.CheckWindows
-// reject warmup+measure windows above it, and drivers computing their own
-// horizons (cmd/nocsim) apply the same bound.
+// longer horizon; Batch.Run (so Sweep) and SimRequest.Check (so
+// BuildBatch) reject warmup+measure windows above it, and packets of
+// more flits than it; callers computing their own horizons (cmd/nocsim)
+// apply the same bound.
 const MaxTraceCycles = int64(100_000_000)
 
 // UniformRandomTrace generates count packets of the given size at the

@@ -40,7 +40,7 @@ type SimulateRequest struct {
 // the request — the batch answer is byte-identical at every worker
 // count, and truncated runs are never cached — so they cannot split the
 // address. A point's partitions field is kept for wire compatibility:
-// only 0 and 1 are accepted (noc.SimRequest.CheckPartitions), and the
+// only 0 and 1 are accepted (noc.SimRequest.Check), and the
 // field stays in the canonical encoding so that cached results under
 // either value remain addressable.
 func SimulateKey(req *noc.SimRequest) (string, error) {
@@ -67,13 +67,7 @@ func (s *Service) submitSimulate(req SimulateRequest) (admission, error) {
 	if req.Sim == nil || len(req.Sim.Points) == 0 {
 		return admission{}, fmt.Errorf("service: simulate request has no points")
 	}
-	if err := req.Sim.CheckPartitions(); err != nil {
-		return admission{}, err
-	}
-	if err := req.Sim.CheckWindows(); err != nil {
-		return admission{}, err
-	}
-	if err := req.Sim.CheckConfig(); err != nil {
+	if err := req.Sim.Check(); err != nil {
 		return admission{}, err
 	}
 	timeout := req.Timeout

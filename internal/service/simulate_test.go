@@ -148,8 +148,9 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 	defer srv.Close()
 
 	// Request-shape errors (partitions other than 0 or 1, cycle windows
-	// above noc.MaxTraceCycles and configs over the kernel's size limits
-	// included) reject at submit with 400. Deeper build errors
+	// above noc.MaxTraceCycles, packets of more flits than that and
+	// configs over the kernel's size limits included) reject at submit
+	// with 400. Deeper build errors
 	// (an unknown pattern) only surface when the worker builds the batch,
 	// so they fail the job — the wait path reports that as 500 with the
 	// build error, matching how a failed solve is reported.
@@ -169,6 +170,8 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 		"horizon above bound": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":100000000,"seed":1}]}`,
 			http.StatusBadRequest},
 		"horizon overflow": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":9223372036854775807,"measureCycles":9223372036854775807,"seed":1}]}`,
+			http.StatusBadRequest},
+		"packet flit overflow": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":9223372036854775807,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1}]}`,
 			http.StatusBadRequest},
 		"oversized config": {`{"archs":[{"mesh":"4x4"}],"config":{"numVCs":65536,"bufferFlits":65536},"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1}]}`,
 			http.StatusBadRequest},
@@ -260,6 +263,35 @@ func TestSimulateRejectsWindowsBeforeQueueing(t *testing.T) {
 		job, _, err := s.SubmitSimulate(SimulateRequest{Sim: req})
 		if !errors.Is(err, noc.ErrWindows) || job != nil {
 			t.Errorf("windows %v: job %v, err %v", w, job, err)
+		}
+	}
+	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {
+		t.Errorf("%d rejected submissions were admitted", n)
+	}
+}
+
+// TestSimulateRejectsOverlongPacketsBeforeQueueing: a point whose
+// packets would exceed noc.MaxTraceCycles flits (MaxInt64 bits used to
+// overflow the flit count and run as an undeliverable point) fails
+// submission with noc.ErrConfig and queues nothing.
+func TestSimulateRejectsOverlongPacketsBeforeQueueing(t *testing.T) {
+	s := newStubService(t, Config{Workers: 1})
+	for _, c := range []struct{ bits, flitBits int }{
+		{math.MaxInt64, 0},
+		{math.MaxInt64, 1},
+		{int(noc.MaxTraceCycles), 1},
+	} {
+		req := &noc.SimRequest{
+			Archs:  []noc.SimArch{{Mesh: "4x4"}},
+			Config: &noc.SimConfig{FlitBits: c.flitBits},
+			Points: []noc.SimPoint{{
+				Arch: 0, Pattern: "uniform", Bits: c.bits, Rate: 0.1,
+				WarmupCycles: 10, MeasureCycles: 50, Seed: 1,
+			}},
+		}
+		job, _, err := s.SubmitSimulate(SimulateRequest{Sim: req})
+		if !errors.Is(err, noc.ErrConfig) || job != nil {
+			t.Errorf("%d bits on %d-bit flits: job %v, err %v", c.bits, c.flitBits, job, err)
 		}
 	}
 	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {

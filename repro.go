@@ -306,46 +306,27 @@ func (r *Result) NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return noc.NewCompiled(cfg, r.Architecture, ct)
 }
 
-// NewNetworkPairs is NewNetwork over a demand-compiled table (see
-// CompiledRoutingPairs): the simulator for a workload that only draws
-// the given pairs, at a fraction of the complete table's memory.
-func (r *Result) NewNetworkPairs(cfg NetworkConfig, pairs *routing.PairSet) (*Network, error) {
-	ct, err := r.CompiledRoutingPairs(pairs)
-	if err != nil {
-		return nil, err
-	}
-	return noc.NewCompiled(cfg, r.Architecture, ct)
-}
-
 // MeshNetwork builds a rows x cols mesh baseline with XY routing and a
 // simulator over it — the comparison architecture of Section 5.2.
 func MeshNetwork(rows, cols int, placement *Placement, cfg NetworkConfig) (*Network, *Architecture, error) {
-	newNet, arch, err := MeshNetworkFactory(rows, cols, placement, cfg)
+	arch, ct, err := CompileMesh(rows, cols, placement, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	net, err := newNet()
+	net, err := noc.NewCompiled(cfg, arch, ct)
 	if err != nil {
 		return nil, nil, err
 	}
 	return net, arch, nil
 }
 
-// MeshNetworkFactory builds the rows x cols XY mesh once — architecture,
-// routing table, VC assignment and compiled route plans — and returns a
-// factory producing cold simulators that all share them: the shape
-// noc.Sweep's per-worker networks and repeated benchmark runs want.
-func MeshNetworkFactory(rows, cols int, placement *Placement, cfg NetworkConfig) (func() (*Network, error), *Architecture, error) {
-	return MeshNetworkFactoryPairs(rows, cols, placement, cfg, nil)
-}
-
-// MeshNetworkFactoryPairs is MeshNetworkFactory with a demand set: a
-// non-nil, non-all pairs set compiles the XY table sparsely for exactly
-// those pairs (identical plans, lazy fallback for the rest), which is
-// what the sweep and batch drivers thread through for permutation and
-// hotspot patterns on large meshes. nil keeps the complete all-pairs
-// compile.
-func MeshNetworkFactoryPairs(rows, cols int, placement *Placement, cfg NetworkConfig, pairs *routing.PairSet) (func() (*Network, error), *Architecture, error) {
+// CompileMesh builds the rows x cols mesh and compiles its XY routing
+// table and VC assignment into route plans: for every ordered pair when
+// pairs is nil, else for exactly the demanded pairs (identical plans,
+// lazy fallback for the rest). Every network over the mesh — a
+// noc.BatchArch for sweeps and batches, or noc.NewCompiled — shares the
+// one table.
+func CompileMesh(rows, cols int, placement *Placement, pairs *routing.PairSet) (*Architecture, *routing.CompiledTable, error) {
 	arch, err := topology.Mesh(rows, cols, placement)
 	if err != nil {
 		return nil, nil, err
@@ -362,7 +343,7 @@ func MeshNetworkFactoryPairs(rows, cols int, placement *Placement, cfg NetworkCo
 	if err != nil {
 		return nil, nil, err
 	}
-	return func() (*Network, error) { return noc.NewCompiled(cfg, arch, ct) }, arch, nil
+	return arch, ct, nil
 }
 
 // AESACG returns the distributed-AES application graph of the paper's

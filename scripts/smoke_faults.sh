@@ -2,10 +2,11 @@
 # CI smoke test of the fault-injection + adaptive-routing subsystem:
 #
 #   1. a 3-point link fault-rate ladder (reliability mode) on the 4x4
-#      mesh must emit valid JSON whose delivered fraction degrades as
-#      links fail, in both routing modes;
+#      mesh must emit valid JSON, byte-identical to its golden in
+#      scripts/golden/, whose delivered fraction degrades as links fail,
+#      in both routing modes;
 #   2. the faulted adaptive sweep must be deterministic across -parallel
-#      settings (byte-identical JSON);
+#      settings and byte-identical to its golden;
 #   3. the invariant suite (kernel-state audit, conservation, escape-VC
 #      acyclicity, mid-run purge) must pass under the race detector;
 #   4. a per-package coverage summary over the fault/adaptive surface is
@@ -27,6 +28,18 @@ for mode in oblivious adaptive; do
     grep -q "\"routing\": \"$mode\"" "$tmp/rel_$mode.json"
     echo "--- $mode ---"
     cat "$tmp/rel_$mode.log"
+done
+
+# The reliability JSON is pinned against goldens captured before the
+# sweep front ends were merged into one: the simulator may get faster,
+# never different. Regenerate only for deliberate semantic changes.
+for mode in oblivious adaptive; do
+    golden="scripts/golden/reliability_mesh4x4_$mode.json"
+    if ! cmp -s "$tmp/rel_$mode.json" "$golden"; then
+        echo "smoke_faults: $mode reliability JSON drifted from $golden" >&2
+        diff "$golden" "$tmp/rel_$mode.json" >&2 || true
+        exit 1
+    fi
 done
 
 # The pristine point must out-deliver the 20%-failed point in both modes.
@@ -53,6 +66,11 @@ if ! cmp -s "$tmp/a.json" "$tmp/b.json"; then
     diff "$tmp/a.json" "$tmp/b.json" >&2 || true
     exit 1
 fi
+if ! cmp -s "$tmp/a.json" scripts/golden/sweep_mesh4x4_faults_adaptive.json; then
+    echo "smoke_faults: faulted sweep JSON drifted from the pinned golden" >&2
+    diff scripts/golden/sweep_mesh4x4_faults_adaptive.json "$tmp/a.json" >&2 || true
+    exit 1
+fi
 grep -q '"routing": "adaptive"' "$tmp/a.json"
 grep -q '"faults": "link:1-2,link:9-13@400"' "$tmp/a.json"
 
@@ -70,4 +88,4 @@ go tool cover -func="$tmp/coverage.out" | awk '
     END { for (f in sum) printf "%-30s %6.1f%% of functions covered (mean)\n", f, sum[f]/cnt[f] }' | sort
 go tool cover -func="$tmp/coverage.out" | tail -1
 
-echo "smoke_faults: OK (reliability ladder, determinism, invariants, coverage)"
+echo "smoke_faults: OK (reliability ladder, determinism, goldens, invariants, coverage)"
