@@ -200,10 +200,9 @@ func runTableFloorplan(ctx context.Context) {
 				H:  1 + float64(i%2)*0.5,
 			})
 		}
-		area, err := floorplan.Slicing(cores, floorplan.AnnealOptions{Seed: seed})
+		area, err := floorplan.Slicing(cores, seed)
 		check(err)
-		aware, err := floorplan.SlicingWithTraffic(cores, floorplan.TrafficAnnealOptions{
-			AnnealOptions:    floorplan.AnnealOptions{Seed: seed},
+		aware, err := floorplan.SlicingWithTraffic(cores, seed, floorplan.TrafficAnnealOptions{
 			Traffic:          tasks,
 			WirelengthWeight: 0.01,
 		})
@@ -975,10 +974,7 @@ func runTableFrontier(ctx context.Context) {
 
 	for _, sc := range scenarios {
 		base := repro.Options{Mode: repro.CostLinks, MatchLimit: 1, Parallelism: 1}
-		fopts := frontier.Options{Points: sc.points, Synth: base}
-		if sc.validate {
-			fopts.Validate = &frontier.Validate{Seed: 1}
-		}
+		fopts := frontier.Options{Points: sc.points, Synth: base, Validate: sc.validate}
 		res, err := frontier.Enumerate(ctx, sc.acg, fopts)
 		if err != nil {
 			check(fmt.Errorf("frontier sweep %s: %w", sc.name, err))

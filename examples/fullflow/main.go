@@ -43,7 +43,7 @@ func main() {
 		h := 1.0 + float64(i%2)*0.5
 		cores = append(cores, repro.Core{ID: repro.NodeID(i), W: w, H: h})
 	}
-	placement, err := floorplan.Slicing(cores, floorplan.AnnealOptions{Seed: 13})
+	placement, err := floorplan.Slicing(cores, 13)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -103,12 +103,11 @@ func main() {
 		acg.NodeCount(), acg.EdgeCount(), acg.TotalBandwidth())
 
 	// Floorplan twice: area-only, and traffic-aware (future-work mode).
-	area, err := floorplan.Slicing(cores, floorplan.AnnealOptions{Seed: 7})
+	area, err := floorplan.Slicing(cores, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	aware, err := floorplan.SlicingWithTraffic(cores, floorplan.TrafficAnnealOptions{
-		AnnealOptions:    floorplan.AnnealOptions{Seed: 7},
+	aware, err := floorplan.SlicingWithTraffic(cores, 7, floorplan.TrafficAnnealOptions{
 		Traffic:          acg,
 		WirelengthWeight: 0.002,
 	})

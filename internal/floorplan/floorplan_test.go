@@ -56,7 +56,7 @@ func TestEuclideanLowerBoundsManhattan(t *testing.T) {
 }
 
 func TestSlicingSingleCore(t *testing.T) {
-	p, err := Slicing([]Core{{ID: 7, W: 2, H: 3}}, AnnealOptions{Seed: 1})
+	p, err := Slicing([]Core{{ID: 7, W: 2, H: 3}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +70,10 @@ func TestSlicingSingleCore(t *testing.T) {
 }
 
 func TestSlicingRejectsBadInput(t *testing.T) {
-	if _, err := Slicing(nil, AnnealOptions{}); err == nil {
+	if _, err := Slicing(nil, 0); err == nil {
 		t.Fatal("empty core list accepted")
 	}
-	if _, err := Slicing([]Core{{ID: 1, W: 0, H: 1}}, AnnealOptions{}); err == nil {
+	if _, err := Slicing([]Core{{ID: 1, W: 0, H: 1}}, 0); err == nil {
 		t.Fatal("zero-width core accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestSlicingNoOverlapAndInBounds(t *testing.T) {
 		{ID: 1, W: 2, H: 1}, {ID: 2, W: 1, H: 1}, {ID: 3, W: 1, H: 2},
 		{ID: 4, W: 2, H: 2}, {ID: 5, W: 1, H: 1}, {ID: 6, W: 3, H: 1},
 	}
-	p, err := Slicing(cores, AnnealOptions{Seed: 42, AllowRotation: true})
+	p, err := Slicing(cores, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestSlicingDeterministicForSeed(t *testing.T) {
 	cores := []Core{
 		{ID: 1, W: 2, H: 1}, {ID: 2, W: 1, H: 3}, {ID: 3, W: 2, H: 2}, {ID: 4, W: 1, H: 1},
 	}
-	p1, err := Slicing(cores, AnnealOptions{Seed: 9})
+	p1, err := Slicing(cores, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Slicing(cores, AnnealOptions{Seed: 9})
+	p2, err := Slicing(cores, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSlicingPacksIdenticalSquares(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		cores = append(cores, Core{ID: graph.NodeID(i), W: 1, H: 1})
 	}
-	p, err := Slicing(cores, AnnealOptions{Seed: 3})
+	p, err := Slicing(cores, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSlicingBeatsWorstCaseRow(t *testing.T) {
 		}
 		rowArea = w * h
 	}
-	p, err := Slicing(cores, AnnealOptions{Seed: 11})
+	p, err := Slicing(cores, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPropertySlicingAlwaysLegal(t *testing.T) {
 				H:  0.5 + rng.Float64()*3,
 			}
 		}
-		p, err := Slicing(cores, AnnealOptions{Seed: seed, MovesPerTemp: 10, MinTemp: 0.05})
+		p, err := Slicing(cores, seed)
 		if err != nil {
 			return false
 		}

@@ -8,52 +8,51 @@ import (
 	"repro/internal/graph"
 )
 
-// Anneal options for the slicing floorplanner.
-type AnnealOptions struct {
-	// Seed makes the run reproducible.
-	Seed int64
-	// Moves per temperature step. Zero selects a size-scaled default.
-	MovesPerTemp int
-	// InitialTemp and CoolingRate control the schedule. Zeros select
-	// defaults (derived from an initial random walk, 0.93).
-	InitialTemp float64
-	CoolingRate float64
-	// MinTemp terminates the anneal. Zero selects a default.
-	MinTemp float64
-	// AllowRotation lets cores rotate 90 degrees.
-	AllowRotation bool
-}
+// The anneal schedule: 30 moves per core at each temperature, starting at
+// the average uphill delta of a 50-move random walk (the standard Wong-Liu
+// recipe) and cooling geometrically until the temperature drops below
+// minTemp.
+const (
+	movesPerCore = 30
+	probeMoves   = 50
+	coolingRate  = 0.93
+	minTemp      = 1e-3
+)
 
 // Slicing runs the Wong-Liu slicing floorplanner: simulated annealing over
-// normalized Polish expressions with area cost. It returns the best
-// placement found. The result is deterministic for a fixed seed.
-func Slicing(cores []Core, opts AnnealOptions) (*Placement, error) {
-	n := len(cores)
-	if n == 0 {
-		return nil, fmt.Errorf("floorplan: no cores")
+// normalized Polish expressions with area cost. Cores may rotate 90
+// degrees. It returns the best placement found. The result is
+// deterministic for a fixed seed.
+func Slicing(cores []Core, seed int64) (*Placement, error) {
+	if err := checkCores(cores); err != nil {
+		return nil, err
 	}
-	for _, c := range cores {
-		if c.W <= 0 || c.H <= 0 {
-			return nil, fmt.Errorf("floorplan: core %d has nonpositive dimensions", c.ID)
-		}
-	}
-	if n == 1 {
+	if len(cores) == 1 {
 		return NewPlacement(
 			map[graph.NodeID]Point{cores[0].ID: {0, 0}},
 			map[graph.NodeID]Point{cores[0].ID: {cores[0].W, cores[0].H}},
 		), nil
 	}
+	return anneal(cores, seed, func(expr []token) float64 { return slicingArea(expr, cores) }), nil
+}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
-	if opts.MovesPerTemp == 0 {
-		opts.MovesPerTemp = 30 * n
+func checkCores(cores []Core) error {
+	if len(cores) == 0 {
+		return fmt.Errorf("floorplan: no cores")
 	}
-	if opts.CoolingRate == 0 {
-		opts.CoolingRate = 0.93
+	for _, c := range cores {
+		if c.W <= 0 || c.H <= 0 {
+			return fmt.Errorf("floorplan: core %d has nonpositive dimensions", c.ID)
+		}
 	}
-	if opts.MinTemp == 0 {
-		opts.MinTemp = 1e-3
-	}
+	return nil
+}
+
+// anneal minimizes cost over normalized Polish expressions of at least
+// two cores and realizes the best expression found.
+func anneal(cores []Core, seed int64, cost func([]token) float64) *Placement {
+	n := len(cores)
+	rng := rand.New(rand.NewSource(seed))
 
 	// Initial expression: c0 c1 V c2 V c3 V ... (a row), alternating cut
 	// direction for a better start.
@@ -68,45 +67,38 @@ func Slicing(cores []Core, opts AnnealOptions) (*Placement, error) {
 		}
 	}
 
-	cur := append([]token(nil), expr...)
-	curCost := slicingArea(cur, cores)
+	cur := expr
+	curCost := cost(cur)
 	best := append([]token(nil), cur...)
 	bestCost := curCost
 
-	temp := opts.InitialTemp
-	if temp == 0 {
-		// Probe random moves to set the initial temperature at the
-		// average uphill delta, the standard Wong-Liu recipe.
-		var sum float64
-		count := 0
-		probe := append([]token(nil), cur...)
-		pc := curCost
-		for i := 0; i < 50; i++ {
-			cand := mutate(probe, rng)
-			if cand == nil {
-				continue
-			}
-			c := slicingArea(cand, cores)
-			if d := c - pc; d > 0 {
-				sum += d
-				count++
-			}
-			probe, pc = cand, c
+	var sum float64
+	count := 0
+	probe, pc := cur, curCost
+	for i := 0; i < probeMoves; i++ {
+		cand := mutate(probe, rng)
+		if cand == nil {
+			continue
 		}
-		if count > 0 {
-			temp = sum / float64(count)
-		} else {
-			temp = 1
+		c := cost(cand)
+		if d := c - pc; d > 0 {
+			sum += d
+			count++
 		}
+		probe, pc = cand, c
+	}
+	temp := 1.0
+	if count > 0 {
+		temp = sum / float64(count)
 	}
 
-	for temp > opts.MinTemp {
-		for i := 0; i < opts.MovesPerTemp; i++ {
+	for ; temp > minTemp; temp *= coolingRate {
+		for i := 0; i < movesPerCore*n; i++ {
 			cand := mutate(cur, rng)
 			if cand == nil {
 				continue
 			}
-			c := slicingArea(cand, cores)
+			c := cost(cand)
 			d := c - curCost
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
 				cur, curCost = cand, c
@@ -116,10 +108,8 @@ func Slicing(cores []Core, opts AnnealOptions) (*Placement, error) {
 				}
 			}
 		}
-		temp *= opts.CoolingRate
 	}
-
-	return realize(best, cores), nil
+	return realize(best, cores)
 }
 
 type opKind int

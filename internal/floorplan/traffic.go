@@ -1,12 +1,6 @@
 package floorplan
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // TrafficAnnealOptions extends the area-driven anneal with a
 // communication-aware term, implementing the paper's first future-work
@@ -20,7 +14,6 @@ import (
 // so heavily communicating cores are pulled together before the
 // decomposition prices its routes.
 type TrafficAnnealOptions struct {
-	AnnealOptions
 	// Traffic supplies v(e); nil edges contribute nothing.
 	Traffic *graph.Graph
 	// WirelengthWeight is the λ above, in mm⁻¹·bit⁻¹ relative to area
@@ -30,99 +23,17 @@ type TrafficAnnealOptions struct {
 
 // SlicingWithTraffic runs the slicing anneal under the combined
 // area + traffic-weighted-wirelength objective.
-func SlicingWithTraffic(cores []Core, opts TrafficAnnealOptions) (*Placement, error) {
-	n := len(cores)
-	if n == 0 {
-		return nil, fmt.Errorf("floorplan: no cores")
+func SlicingWithTraffic(cores []Core, seed int64, opts TrafficAnnealOptions) (*Placement, error) {
+	if opts.WirelengthWeight == 0 || opts.Traffic == nil || len(cores) < 2 {
+		return Slicing(cores, seed)
 	}
-	for _, c := range cores {
-		if c.W <= 0 || c.H <= 0 {
-			return nil, fmt.Errorf("floorplan: core %d has nonpositive dimensions", c.ID)
-		}
+	if err := checkCores(cores); err != nil {
+		return nil, err
 	}
-	if opts.WirelengthWeight == 0 || opts.Traffic == nil {
-		return Slicing(cores, opts.AnnealOptions)
-	}
-	if n == 1 {
-		return Slicing(cores, opts.AnnealOptions)
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed))
-	if opts.MovesPerTemp == 0 {
-		opts.MovesPerTemp = 30 * n
-	}
-	if opts.CoolingRate == 0 {
-		opts.CoolingRate = 0.93
-	}
-	if opts.MinTemp == 0 {
-		opts.MinTemp = 1e-3
-	}
-
-	cost := func(expr []token) float64 {
+	return anneal(cores, seed, func(expr []token) float64 {
 		p := realize(expr, cores)
 		return p.Area() + opts.WirelengthWeight*WeightedWirelength(p, opts.Traffic)
-	}
-
-	expr := make([]token, 0, 2*n-1)
-	expr = append(expr, token{operand: 0})
-	for i := 1; i < n; i++ {
-		expr = append(expr, token{operand: i})
-		if i%2 == 0 {
-			expr = append(expr, token{op: opV})
-		} else {
-			expr = append(expr, token{op: opH})
-		}
-	}
-
-	cur := append([]token(nil), expr...)
-	curCost := cost(cur)
-	best := append([]token(nil), cur...)
-	bestCost := curCost
-
-	temp := opts.InitialTemp
-	if temp == 0 {
-		var sum float64
-		count := 0
-		probe := append([]token(nil), cur...)
-		pc := curCost
-		for i := 0; i < 50; i++ {
-			cand := mutate(probe, rng)
-			if cand == nil {
-				continue
-			}
-			c := cost(cand)
-			if d := c - pc; d > 0 {
-				sum += d
-				count++
-			}
-			probe, pc = cand, c
-		}
-		if count > 0 {
-			temp = sum / float64(count)
-		} else {
-			temp = 1
-		}
-	}
-
-	for temp > opts.MinTemp {
-		for i := 0; i < opts.MovesPerTemp; i++ {
-			cand := mutate(cur, rng)
-			if cand == nil {
-				continue
-			}
-			c := cost(cand)
-			d := c - curCost
-			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-				cur, curCost = cand, c
-				if curCost < bestCost {
-					best = append(best[:0], cur...)
-					bestCost = curCost
-				}
-			}
-		}
-		temp *= opts.CoolingRate
-	}
-	return realize(best, cores), nil
+	}), nil
 }
 
 // WeightedWirelength returns Σ_e v(e) · manhattan distance between the

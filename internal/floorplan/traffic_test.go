@@ -26,12 +26,11 @@ func TestSlicingWithTrafficPullsHotPairTogether(t *testing.T) {
 	cores := eightMixedCores()
 	traffic := hotPairTraffic(1, 8)
 
-	pure, err := Slicing(cores, AnnealOptions{Seed: 4})
+	pure, err := Slicing(cores, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := SlicingWithTraffic(cores, TrafficAnnealOptions{
-		AnnealOptions:    AnnealOptions{Seed: 4},
+	aware, err := SlicingWithTraffic(cores, 4, TrafficAnnealOptions{
 		Traffic:          traffic,
 		WirelengthWeight: 1.0,
 	})
@@ -53,8 +52,7 @@ func TestSlicingWithTrafficPullsHotPairTogether(t *testing.T) {
 func TestSlicingWithTrafficStillLegal(t *testing.T) {
 	cores := eightMixedCores()
 	traffic := hotPairTraffic(2, 7)
-	p, err := SlicingWithTraffic(cores, TrafficAnnealOptions{
-		AnnealOptions:    AnnealOptions{Seed: 8},
+	p, err := SlicingWithTraffic(cores, 8, TrafficAnnealOptions{
 		Traffic:          traffic,
 		WirelengthWeight: 0.5,
 	})
@@ -66,13 +64,11 @@ func TestSlicingWithTrafficStillLegal(t *testing.T) {
 
 func TestSlicingWithTrafficZeroWeightFallsBack(t *testing.T) {
 	cores := eightMixedCores()
-	p1, err := SlicingWithTraffic(cores, TrafficAnnealOptions{
-		AnnealOptions: AnnealOptions{Seed: 2},
-	})
+	p1, err := SlicingWithTraffic(cores, 2, TrafficAnnealOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Slicing(cores, AnnealOptions{Seed: 2})
+	p2, err := Slicing(cores, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +80,10 @@ func TestSlicingWithTrafficZeroWeightFallsBack(t *testing.T) {
 }
 
 func TestSlicingWithTrafficValidation(t *testing.T) {
-	if _, err := SlicingWithTraffic(nil, TrafficAnnealOptions{}); err == nil {
+	if _, err := SlicingWithTraffic(nil, 0, TrafficAnnealOptions{}); err == nil {
 		t.Fatal("empty cores accepted")
 	}
-	if _, err := SlicingWithTraffic([]Core{{ID: 1, W: 0, H: 1}}, TrafficAnnealOptions{}); err == nil {
+	if _, err := SlicingWithTraffic([]Core{{ID: 1, W: 0, H: 1}}, 0, TrafficAnnealOptions{}); err == nil {
 		t.Fatal("bad dims accepted")
 	}
 }

@@ -74,40 +74,18 @@ type Options struct {
 	// solve unchanged.
 	Synth repro.Options
 
-	// Validate, when non-nil, simulates each emitted point's
-	// architecture under uniform traffic at a near-zero injection rate
-	// and records the measured average packet latency in
-	// Point.MeasuredLatency — an end-to-end check that the analytic
-	// hop averages order the architectures the same way the
-	// cycle-accurate kernel does.
-	Validate *Validate
+	// Validate simulates each emitted point's architecture under
+	// uniform traffic at a near-zero injection rate and records the
+	// measured average packet latency in Point.MeasuredLatency — an
+	// end-to-end check that the analytic hop averages order the
+	// architectures the same way the cycle-accurate kernel does.
+	Validate bool
 
 	// Emit, when non-nil, observes each frontier point as soon as it
 	// is proven non-dominated, in ascending-ε order — the hook the
 	// service streams NDJSON lines from. Result.Points receives the
 	// same points regardless.
 	Emit func(Point)
-}
-
-// Validate configures the optional per-point zero-load simulation.
-// The zero value of every field selects a sensible default.
-type Validate struct {
-	// Config is the router/link timing model (zero = noc.DefaultConfig,
-	// with NumVCs raised to the point's VC assignment when needed).
-	Config noc.Config
-	// Bits is the packet payload size (0 = 64).
-	Bits int
-	// Rate is the injection rate in packets per node per cycle
-	// (0 = 0.005, low enough to stay contention-free on every
-	// architecture the sweep can produce).
-	Rate float64
-	// WarmupCycles/MeasureCycles bound the simulation windows
-	// (0 = 1000 / 4000).
-	WarmupCycles  int64
-	MeasureCycles int64
-	// Seed is the base traffic seed; point i simulates under the
-	// deterministic per-point seed noc.PointSeed(Seed, i).
-	Seed int64
 }
 
 // Point is one non-dominated (cost, latency) point of the frontier. The
@@ -300,8 +278,8 @@ func Enumerate(ctx context.Context, acg *repro.Graph, opts Options) (*Result, er
 		// no cheaper-but-slower trade exists in the model), the
 		// anchor is the whole frontier.
 		p := pointOf(L0, anchor, false)
-		if opts.Validate != nil {
-			if p.MeasuredLatency, err = measure(ctx, anchor, opts.Validate, 0); err != nil {
+		if opts.Validate {
+			if p.MeasuredLatency, err = measure(ctx, anchor, 0); err != nil {
 				return res, err
 			}
 		}
@@ -385,8 +363,8 @@ func Enumerate(ctx context.Context, acg *repro.Graph, opts Options) (*Result, er
 		gp.AvgHops = pres.Decomposition.AvgHops
 		gp.NodesExplored = pres.Stats.NodesExplored
 		p := pointOf(eps, pres, warm)
-		if opts.Validate != nil {
-			if p.MeasuredLatency, err = measure(ctx, pres, opts.Validate, len(res.Points)); err != nil {
+		if opts.Validate {
+			if p.MeasuredLatency, err = measure(ctx, pres, len(res.Points)); err != nil {
 				res.Grid = append(res.Grid, gp)
 				res.Elapsed = time.Since(start)
 				return res, err
@@ -417,20 +395,30 @@ func pointOf(eps float64, r *repro.Result, warm bool) Point {
 	}
 }
 
+// The zero-load validation setup: 64-bit packets at 0.005 packets per
+// node per cycle, low enough to stay contention-free on every
+// architecture the sweep can produce, measured for 4000 cycles after a
+// 1000-cycle warmup. Point i simulates under noc.PointSeed(validateSeed, i).
+const (
+	validateBits    = 64
+	validateRate    = 0.005
+	validateWarmup  = 1000
+	validateMeasure = 4000
+	validateSeed    = 1
+)
+
 // measure simulates one point's architecture under uniform traffic at a
 // near-zero rate through the batch engine and returns the measured
-// average packet latency in cycles. Parallelism is irrelevant for a
-// single point; the per-point seed is noc.PointSeed(v.Seed, index), so
-// the measurement is deterministic and the wire form stays canonical.
-func measure(ctx context.Context, r *repro.Result, v *Validate, index int) (float64, error) {
+// average packet latency in cycles. The router model is
+// noc.DefaultConfig with NumVCs raised to the point's VC assignment when
+// needed. The per-point seed makes the measurement deterministic, so the
+// wire form stays canonical.
+func measure(ctx context.Context, r *repro.Result, index int) (float64, error) {
 	ct, err := r.CompiledRouting()
 	if err != nil {
 		return 0, err
 	}
-	cfg := v.Config
-	if cfg == (noc.Config{}) {
-		cfg = noc.DefaultConfig()
-	}
+	cfg := noc.DefaultConfig()
 	if n := r.VCs.NumVCs; n > cfg.NumVCs {
 		cfg.NumVCs = n
 	}
@@ -438,30 +426,15 @@ func measure(ctx context.Context, r *repro.Result, v *Validate, index int) (floa
 	if err != nil {
 		return 0, err
 	}
-	bits := v.Bits
-	if bits == 0 {
-		bits = 64
-	}
-	rate := v.Rate
-	if rate == 0 {
-		rate = 0.005
-	}
-	warmup, window := v.WarmupCycles, v.MeasureCycles
-	if warmup == 0 {
-		warmup = 1000
-	}
-	if window == 0 {
-		window = 4000
-	}
 	b := &noc.Batch{
 		Archs: []noc.BatchArch{{Cfg: cfg, Arch: r.Architecture, Table: ct}},
 		Points: []noc.BatchPoint{{
 			Pattern:       pat,
-			Bits:          bits,
-			Rate:          rate,
-			WarmupCycles:  warmup,
-			MeasureCycles: window,
-			Seed:          noc.PointSeed(v.Seed, index),
+			Bits:          validateBits,
+			Rate:          validateRate,
+			WarmupCycles:  validateWarmup,
+			MeasureCycles: validateMeasure,
+			Seed:          noc.PointSeed(validateSeed, index),
 		}},
 		Parallelism: 1,
 	}

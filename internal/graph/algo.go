@@ -3,7 +3,6 @@ package graph
 import (
 	"container/heap"
 	"math"
-	"sort"
 )
 
 // WeaklyConnected reports whether the graph is connected when edge
@@ -26,35 +25,6 @@ func (g *Graph) WeaklyConnected() bool {
 		}
 	}
 	return len(seen) == g.NodeCount()
-}
-
-// WeakComponents returns the weakly connected components, each sorted, and
-// the list sorted by smallest member.
-func (g *Graph) WeakComponents() [][]NodeID {
-	seen := make(map[NodeID]struct{}, g.NodeCount())
-	var comps [][]NodeID
-	for _, start := range g.Nodes() {
-		if _, ok := seen[start]; ok {
-			continue
-		}
-		var comp []NodeID
-		stack := []NodeID{start}
-		seen[start] = struct{}{}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, n)
-			for _, m := range g.Neighbors(n) {
-				if _, ok := seen[m]; !ok {
-					seen[m] = struct{}{}
-					stack = append(stack, m)
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // HasDirectedCycle reports whether the graph contains a directed cycle.
@@ -109,56 +79,6 @@ func (g *Graph) FindDirectedCycle() []NodeID {
 		}
 	}
 	return nil
-}
-
-// TopologicalOrder returns a topological ordering of the vertices, or
-// ok=false if the graph has a directed cycle. Ties are broken by vertex id
-// (Kahn's algorithm with a sorted frontier) so the order is deterministic.
-func (g *Graph) TopologicalOrder() (order []NodeID, ok bool) {
-	indeg := make(map[NodeID]int, g.NodeCount())
-	for _, n := range g.Nodes() {
-		indeg[n] = g.InDegree(n)
-	}
-	frontier := make([]NodeID, 0)
-	for _, n := range g.Nodes() {
-		if indeg[n] == 0 {
-			frontier = append(frontier, n)
-		}
-	}
-	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-		n := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, n)
-		for _, m := range g.OutNeighbors(n) {
-			indeg[m]--
-			if indeg[m] == 0 {
-				frontier = append(frontier, m)
-			}
-		}
-	}
-	if len(order) != g.NodeCount() {
-		return nil, false
-	}
-	return order, true
-}
-
-// HopDistances returns the directed BFS hop distance from src to every
-// reachable vertex.
-func (g *Graph) HopDistances(src NodeID) map[NodeID]int {
-	dist := map[NodeID]int{src: 0}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, m := range g.OutNeighbors(n) {
-			if _, ok := dist[m]; !ok {
-				dist[m] = dist[n] + 1
-				queue = append(queue, m)
-			}
-		}
-	}
-	return dist
 }
 
 // UndirectedHopDistances returns BFS hop distances ignoring edge direction.

@@ -71,47 +71,6 @@ func BidirectionalRing(name string, ids []NodeID, volume, bandwidth float64) *Gr
 	return g
 }
 
-// Mesh2D returns a rows x cols bidirectional mesh over 1-based node ids in
-// row-major order: node id = r*cols + c + 1. This is the paper's standard
-// mesh baseline.
-func Mesh2D(name string, rows, cols int, bandwidth float64) *Graph {
-	g := New(name)
-	id := func(r, c int) NodeID { return NodeID(r*cols + c + 1) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.AddNode(id(r, c))
-			if c+1 < cols {
-				g.SetEdge(Edge{From: id(r, c), To: id(r, c+1), Bandwidth: bandwidth})
-				g.SetEdge(Edge{From: id(r, c+1), To: id(r, c), Bandwidth: bandwidth})
-			}
-			if r+1 < rows {
-				g.SetEdge(Edge{From: id(r, c), To: id(r+1, c), Bandwidth: bandwidth})
-				g.SetEdge(Edge{From: id(r+1, c), To: id(r, c), Bandwidth: bandwidth})
-			}
-		}
-	}
-	return g
-}
-
-// Hypercube returns the bidirectional d-dimensional hypercube on node ids
-// 1..2^d: vertices i and j are adjacent iff their (id-1) labels differ in
-// exactly one bit. For n = 2^d nodes the hypercube is a gossip graph that
-// completes gossiping in d rounds, which is optimal.
-func Hypercube(name string, d int, bandwidth float64) *Graph {
-	g := New(name)
-	n := 1 << uint(d)
-	for i := 0; i < n; i++ {
-		g.AddNode(NodeID(i + 1))
-	}
-	for i := 0; i < n; i++ {
-		for b := 0; b < d; b++ {
-			j := i ^ (1 << uint(b))
-			g.SetEdge(Edge{From: NodeID(i + 1), To: NodeID(j + 1), Bandwidth: bandwidth})
-		}
-	}
-	return g
-}
-
 // Range returns the node ids first..last inclusive.
 func Range(first, last NodeID) []NodeID {
 	if last < first {

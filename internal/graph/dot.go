@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -24,32 +23,6 @@ func (g *Graph) DOT() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// AdjacencyList renders a deterministic human-readable adjacency listing,
-// one line per vertex, used by the CLI tools for compact reports.
-func (g *Graph) AdjacencyList() string {
-	var b strings.Builder
-	for _, n := range g.Nodes() {
-		outs := g.OutNeighbors(n)
-		strs := make([]string, len(outs))
-		for i, m := range outs {
-			strs[i] = fmt.Sprintf("%d", m)
-		}
-		fmt.Fprintf(&b, "%d: %s\n", n, strings.Join(strs, " "))
-	}
-	return b.String()
-}
-
-// DegreeSequence returns the sorted (descending) total-degree sequence.
-// Degree sequences are used as a cheap iso-infeasibility filter.
-func (g *Graph) DegreeSequence() []int {
-	seq := make([]int, 0, g.NodeCount())
-	for _, n := range g.Nodes() {
-		seq = append(seq, g.Degree(n))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seq)))
-	return seq
 }
 
 func sanitizeDOTName(s string) string {

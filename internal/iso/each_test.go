@@ -41,7 +41,6 @@ func TestFindEachFrozenMatchesFindAllFrozen(t *testing.T) {
 		{Limit: 5},
 		{Deadline: time.Now().Add(-time.Second)},
 		{Limit: 3, Deadline: time.Now().Add(-time.Second)},
-		{Induced: true},
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		target := randomTarget(7+int(seed)%5, 0.35, 500+seed)

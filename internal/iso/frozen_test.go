@@ -91,15 +91,14 @@ func TestFindAllFrozenMaskMatchesSubtractedGraph(t *testing.T) {
 	}
 }
 
-// Limits and the Induced option must behave identically on both
-// representations.
+// Limits must behave identically on both representations.
 func TestFindAllFrozenOptionsParity(t *testing.T) {
 	lib := primitives.MustDefault()
 	target := randomTarget(9, 0.4, 7)
 	ft := target.Freeze()
 	for _, prim := range lib.Primitives() {
 		fp := prim.Rep.Freeze()
-		for _, opts := range []Options{{Limit: 1}, {Limit: 5}, {Induced: true}} {
+		for _, opts := range []Options{{}, {Limit: 1}, {Limit: 5}} {
 			want, _ := FindAll(prim.Rep, target, opts)
 			got, _ := FindAllFrozen(fp, ft, nil, opts)
 			if !mappingsEqual(want, got) {

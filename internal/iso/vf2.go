@@ -63,10 +63,6 @@ type Options struct {
 	Limit int
 	// Deadline aborts the search when exceeded. Zero means no deadline.
 	Deadline time.Time
-	// Induced requires the matched subgraph to be induced: target edges
-	// between mapped vertices must also exist in the pattern. The
-	// decomposition flow leaves this false (monomorphism).
-	Induced bool
 }
 
 // ErrDeadline is returned by FindAll when the search was cut short by the
@@ -414,25 +410,6 @@ func (s *state) feasible(pi, ti int32) bool {
 			}
 		}
 	}
-	if s.opts.Induced {
-		// Reverse direction: mapped target neighbors of ti must be edges in
-		// the pattern too.
-		for _, tt := range s.tIn[ti] {
-			if pp := s.core2[tt]; pp >= 0 {
-				if !contains(s.pIn[pi], pp) {
-					return false
-				}
-			}
-		}
-		for _, tt := range s.tOut[ti] {
-			if pp := s.core2[tt]; pp >= 0 {
-				if !contains(s.pOut[pi], pp) {
-					return false
-				}
-			}
-		}
-	}
-
 	// One-look-ahead: count pattern neighbors in terminal sets and in
 	// neither set; the target must offer at least as many. For
 	// monomorphism only the >= direction applies.
@@ -595,13 +572,4 @@ func filled(buf []int32, n int, v int32) []int32 {
 		buf[i] = v
 	}
 	return buf
-}
-
-func contains(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

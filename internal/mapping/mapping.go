@@ -72,13 +72,11 @@ type Problem struct {
 	Energy energy.Model
 	// Seed makes the annealer deterministic.
 	Seed int64
-	// ExactLimit is the largest task count solved exactly; larger
-	// instances anneal. Zero means DefaultExactLimit.
-	ExactLimit int
 }
 
-// DefaultExactLimit bounds the exact branch-and-bound.
-const DefaultExactLimit = 9
+// exactLimit is the largest task count solved by the exact
+// branch-and-bound; larger instances anneal.
+const exactLimit = 9
 
 // Result carries the chosen assignment and its cost.
 type Result struct {
@@ -121,9 +119,6 @@ func Solve(p Problem) (*Result, error) {
 	if p.Energy == (energy.Model{}) {
 		p.Energy = energy.Tech180
 	}
-	if p.ExactLimit == 0 {
-		p.ExactLimit = DefaultExactLimit
-	}
 	seen := map[graph.NodeID]bool{}
 	for _, c := range p.Cores {
 		if seen[c] {
@@ -131,7 +126,7 @@ func Solve(p Problem) (*Result, error) {
 		}
 		seen[c] = true
 	}
-	if p.Tasks.NodeCount() <= p.ExactLimit {
+	if p.Tasks.NodeCount() <= exactLimit {
 		return solveExact(p)
 	}
 	return solveAnneal(p)

@@ -759,7 +759,7 @@ func RunSim(ctx context.Context, req *SimRequest, parallelism int) (*SimResponse
 		if !req.Points[i].IncludeStats {
 			return
 		}
-		enc, err := net.Stats().CompactJSON(0)
+		enc, err := net.Stats().CompactJSON()
 		if err != nil {
 			statsErrOnce.Do(func() { statsErr = err })
 			return

@@ -984,21 +984,6 @@ func (n *Network) Step() {
 	n.switchAllocation()
 }
 
-// RunUntilDrained steps until no packets are pending or maxCycles elapse,
-// returning whether the network drained. A horizon that would overflow
-// the cycle counter (e.g. math.MaxInt64) is clamped to "no limit" rather
-// than wrapping negative and returning immediately.
-func (n *Network) RunUntilDrained(maxCycles int64) bool {
-	limit := n.cycle + maxCycles
-	if maxCycles > 0 && limit < n.cycle {
-		limit = math.MaxInt64
-	}
-	for n.pending > 0 && n.cycle < limit {
-		n.Step()
-	}
-	return n.pending == 0
-}
-
 // markActive flags a router as holding buffered flits.
 func (n *Network) markActive(i int32) {
 	w, b := i>>6, uint64(1)<<(i&63)

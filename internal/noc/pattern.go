@@ -148,11 +148,10 @@ func UniformPattern(n int) (*Pattern, error) {
 	}, nil
 }
 
-// TransposePattern pairs rank i with rank (i + n/2) mod n — the
-// half-rotation this repo historically (and mislabeledly) shipped as
-// PermutationTrace, kept under its honest name: on a row-major mesh it
-// exchanges the two halves of the chip like a matrix transpose exchanges
-// triangles, forcing maximum-distance bisection traffic.
+// TransposePattern pairs rank i with rank (i + n/2) mod n, the
+// half-rotation: on a row-major mesh it exchanges the two halves of the
+// chip like a matrix transpose exchanges triangles, forcing
+// maximum-distance bisection traffic.
 func TransposePattern(n int) (*Pattern, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("noc: transpose pattern needs >= 2 nodes, have %d", n)
@@ -176,8 +175,7 @@ func BitComplementPattern(n int) (*Pattern, error) {
 }
 
 // BitReversalPattern sends rank i to the bit-reversal of i over
-// ceil(log2 n) bits — the true bit-reversal permutation the old
-// PermutationTrace doc promised (FFT-style traffic).
+// ceil(log2 n) bits (FFT-style traffic).
 func BitReversalPattern(n int) (*Pattern, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("noc: bitrev pattern needs >= 2 nodes, have %d", n)

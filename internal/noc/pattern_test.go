@@ -9,10 +9,8 @@ import (
 )
 
 // TestPatternDestinationMaps pins every deterministic pattern's
-// destination map on 8 nodes — the regression contract for the
-// half-rotation/bit-reversal mixup this PR untangles (the old
-// PermutationTrace doc promised bit reversal but shipped the
-// half-rotation).
+// destination map on 8 nodes, so the half-rotation (transpose) and the
+// bit reversal (bitrev) cannot be mixed up.
 func TestPatternDestinationMaps(t *testing.T) {
 	cases := []struct {
 		name string
@@ -44,24 +42,28 @@ func TestPatternDestinationMaps(t *testing.T) {
 	}
 }
 
-// TestTransposeMatchesLegacyPermutationTrace ties the new pattern to the
-// old generator: TransposePattern is exactly the (i+n/2) mod n rule
-// PermutationTrace always implemented.
+// TestTransposeMatchesLegacyPermutationTrace ties the pattern to the
+// legacy permutation generator it replaced: every node sends to the
+// node (i + n/2) mod n ranks later, and no node addresses itself.
 func TestTransposeMatchesLegacyPermutationTrace(t *testing.T) {
 	nodes := graph.Range(1, 8)
-	legacy := PermutationTrace(nodes, 32)
-	p, err := TransposePattern(len(nodes))
+	n := len(nodes)
+	p, err := TransposePattern(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perm := p.Permutation()
-	if len(legacy) != len(nodes) {
-		t.Fatalf("legacy trace length %d", len(legacy))
+	if len(perm) != n {
+		t.Fatalf("permutation length %d, want %d", len(perm), n)
 	}
-	for i, ev := range legacy {
-		if ev.Src != nodes[i] || ev.Dst != nodes[perm[i]] {
-			t.Fatalf("event %d: legacy %d->%d, pattern wants %d->%d",
-				i, ev.Src, ev.Dst, nodes[i], nodes[perm[i]])
+	for i, src := range nodes {
+		want := nodes[(i+n/2)%n]
+		if want == src {
+			t.Fatalf("rank %d addresses itself", i)
+		}
+		if got := nodes[perm[i]]; got != want {
+			t.Fatalf("rank %d: pattern sends %d->%d, legacy rule wants %d->%d",
+				i, src, got, src, want)
 		}
 	}
 }

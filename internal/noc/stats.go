@@ -3,6 +3,7 @@ package noc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -225,41 +226,17 @@ type statsJSON struct {
 }
 
 // MarshalJSON renders the statistics as JSON (deterministically: Go
-// sorts string map keys).
+// sorts string map keys), with every per-element map in full.
 func (s Stats) MarshalJSON() ([]byte, error) {
-	out := statsJSON{
-		Injected:      s.Injected,
-		Delivered:     s.Delivered,
-		Dropped:       s.Dropped,
-		Blocked:       s.Blocked,
-		PlanMisses:    s.PlanMisses,
-		DeliveredBits: s.DeliveredBits,
-		LatencySum:    s.LatencySum,
-		LatencyMax:    s.LatencyMax,
-		LatencyMin:    s.MinLatency(),
-		ByTag:         s.ByTag,
-	}
-	if len(s.SwitchTraversals) > 0 {
-		out.SwitchTraversals = make(map[string]int64, len(s.SwitchTraversals))
-		for k, v := range s.SwitchTraversals {
-			out.SwitchTraversals[fmt.Sprintf("%d", k)] = v
-		}
-	}
-	if len(s.LinkTraversals) > 0 {
-		out.LinkTraversals = make(map[string]int64, len(s.LinkTraversals))
-		for k, v := range s.LinkTraversals {
-			out.LinkTraversals[fmt.Sprintf("%d->%d", k[0], k[1])] = v
-		}
-	}
-	return json.Marshal(out)
+	return s.encodeJSON(math.MaxInt)
 }
 
-// CompactLinkThreshold is the default per-element map size above which
+// compactLinkThreshold is the per-element map size above which
 // size-aware consumers (sweep/batch output, the simulate endpoint)
 // switch from the full "a->b" maps to the aggregated CompactDist form:
 // past a few hundred routers the per-link map dominates the payload at
 // megabytes per point while carrying little per-reader value.
-const CompactLinkThreshold = 256
+const compactLinkThreshold = 256
 
 // CompactDist is the aggregated view of a per-element traversal map:
 // the element count plus the min/mean/max/total of the counter values.
@@ -292,15 +269,17 @@ func compactDist(n int, vals func(func(int64))) *CompactDist {
 }
 
 // CompactJSON renders the statistics like MarshalJSON, except that any
-// per-element traversal map with more than maxPerElement entries is
-// replaced by its CompactDist aggregate ("switchTraversalsCompact" /
-// "linkTraversalsCompact"). maxPerElement <= 0 applies
-// CompactLinkThreshold. Maps at or under the bound render in full, so
-// small-network output is byte-identical to MarshalJSON.
-func (s Stats) CompactJSON(maxPerElement int) ([]byte, error) {
-	if maxPerElement <= 0 {
-		maxPerElement = CompactLinkThreshold
-	}
+// per-element traversal map with more than 256 entries is replaced by
+// its CompactDist aggregate ("switchTraversalsCompact" /
+// "linkTraversalsCompact"). Maps at or under the bound render in full,
+// so small-network output is byte-identical to MarshalJSON.
+func (s Stats) CompactJSON() ([]byte, error) {
+	return s.encodeJSON(compactLinkThreshold)
+}
+
+// encodeJSON builds the wire form, aggregating any per-element map with
+// more than maxPerElement entries.
+func (s Stats) encodeJSON(maxPerElement int) ([]byte, error) {
 	out := statsJSON{
 		Injected:      s.Injected,
 		Delivered:     s.Delivered,

@@ -35,14 +35,23 @@ func (n *Network) Replay(trace Trace, drainLimit int64) error {
 // stays select-free) and returns ctx.Err() as soon as it is done — the
 // hook command-line drivers use for Ctrl-C.
 func (n *Network) ReplayContext(ctx context.Context, trace Trace, drainLimit int64) error {
+	return n.replay(ctx, trace, drainLimit, func(ev TrafficEvent) error {
+		_, err := n.Inject(ev.Src, ev.Dst, ev.Bits, ev.Tag)
+		return err
+	})
+}
+
+// replay is the inject/step/poll loop behind ReplayContext and
+// ReplayWith: each cycle it hands every event now due to inject, steps
+// the network and, every ctxCheckMask+1 cycles, polls ctx; then it
+// drains. Events a fault blocks are part of the scenario (counted under
+// Stats.Blocked by the network), not a replay failure, so an inject
+// error wrapping ErrRouteFaulted is skipped.
+func (n *Network) replay(ctx context.Context, trace Trace, drainLimit int64, inject func(TrafficEvent) error) error {
 	i := 0
 	for i < len(trace) {
-		// Inject everything due at or before the current cycle. Events a
-		// fault blocks are part of the scenario (counted under
-		// Stats.Blocked by the network), not a replay failure.
 		for i < len(trace) && trace[i].Cycle <= n.cycle {
-			ev := trace[i]
-			if _, err := n.Inject(ev.Src, ev.Dst, ev.Bits, ev.Tag); err != nil && !errors.Is(err, ErrRouteFaulted) {
+			if err := inject(trace[i]); err != nil && !errors.Is(err, ErrRouteFaulted) {
 				return fmt.Errorf("noc: replay event %d: %w", i, err)
 			}
 			i++
@@ -70,8 +79,16 @@ func (n *Network) ReplayContext(ctx context.Context, trace Trace, drainLimit int
 // simulation stops within microseconds without a select per cycle.
 const ctxCheckMask = 0x3ff
 
-// runUntilDrainedContext is RunUntilDrained with periodic context checks
-// and the same overflow clamp on the cycle horizon.
+// RunUntilDrained steps until no packets are pending or maxCycles elapse,
+// returning whether the network drained. A horizon that would overflow
+// the cycle counter (e.g. math.MaxInt64) is clamped to "no limit" rather
+// than wrapping negative and returning immediately.
+func (n *Network) RunUntilDrained(maxCycles int64) bool {
+	return n.runUntilDrainedContext(context.Background(), maxCycles)
+}
+
+// runUntilDrainedContext is RunUntilDrained that also stops, undrained,
+// once ctx is done.
 func (n *Network) runUntilDrainedContext(ctx context.Context, maxCycles int64) bool {
 	limit := n.cycle + maxCycles
 	if maxCycles > 0 && limit < n.cycle {
@@ -98,42 +115,14 @@ type RouteChooser func(ev TrafficEvent) (route []graph.NodeID, vcs []int, err er
 // ReplayWith drives the network with the trace like Replay, but asks the
 // chooser for each packet's route instead of the built-in routing table.
 func (n *Network) ReplayWith(trace Trace, drainLimit int64, choose RouteChooser) error {
-	return n.ReplayWithContext(context.Background(), trace, drainLimit, choose)
-}
-
-// ReplayWithContext is ReplayWith with the same cancellation contract as
-// ReplayContext.
-func (n *Network) ReplayWithContext(ctx context.Context, trace Trace, drainLimit int64, choose RouteChooser) error {
-	i := 0
-	for i < len(trace) {
-		for i < len(trace) && trace[i].Cycle <= n.cycle {
-			ev := trace[i]
-			route, vcs, err := choose(ev)
-			if err != nil {
-				return fmt.Errorf("noc: replay event %d: %w", i, err)
-			}
-			if _, err := n.InjectRouted(ev.Src, ev.Dst, ev.Bits, ev.Tag, route, vcs); err != nil && !errors.Is(err, ErrRouteFaulted) {
-				return fmt.Errorf("noc: replay event %d: %w", i, err)
-			}
-			i++
-		}
-		n.Step()
-		if n.cycle&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-		}
-	}
-	if !n.runUntilDrainedContext(ctx, drainLimit) {
-		if err := ctx.Err(); err != nil {
+	return n.replay(context.Background(), trace, drainLimit, func(ev TrafficEvent) error {
+		route, vcs, err := choose(ev)
+		if err != nil {
 			return err
 		}
-		return fmt.Errorf("noc: network failed to drain %d packets within %d cycles",
-			n.Pending(), drainLimit)
-	}
-	return nil
+		_, err = n.InjectRouted(ev.Src, ev.Dst, ev.Bits, ev.Tag, route, vcs)
+		return err
+	})
 }
 
 // MaxTraceCycles bounds the schedule horizon a single generated trace
@@ -177,28 +166,6 @@ func UniformRandomTrace(nodes []graph.NodeID, count, bits int, ratePerNodePerCyc
 			trace = append(trace, TrafficEvent{Cycle: cycle, Src: src, Dst: dst, Bits: bits})
 		}
 		cycle++
-	}
-	return trace
-}
-
-// PermutationTrace sends one packet from every node to a fixed
-// permutation partner — the half-rotation (i + n/2) mod n over the
-// sorted node order, i.e. the transpose-style bisection stress pattern —
-// all at cycle zero. (An earlier doc claimed a "bit-reversal style
-// shuffle"; the code always implemented the half-rotation, which now
-// lives on as TransposePattern. True bit reversal is BitReversalPattern.)
-func PermutationTrace(nodes []graph.NodeID, bits int) Trace {
-	n := len(nodes)
-	if n < 2 {
-		return nil
-	}
-	var trace Trace
-	for i, src := range nodes {
-		dst := nodes[(i+n/2)%n]
-		if dst == src {
-			continue
-		}
-		trace = append(trace, TrafficEvent{Cycle: 0, Src: src, Dst: dst, Bits: bits})
 	}
 	return trace
 }

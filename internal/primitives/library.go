@@ -13,92 +13,41 @@ type Library struct {
 	prims []*Primitive
 }
 
-// Config selects which primitives a default library contains. The paper's
-// library uses "minimum gossip and broadcast graphs that have efficient 2-D
-// implementations and paths and loops of various sizes" (Section 3).
-type Config struct {
-	// GossipSizes lists gossip primitive sizes; each must be a power of
-	// two >= 2.
-	GossipSizes []int
-	// BroadcastSizes lists broadcast primitive vertex counts (root plus
-	// receivers), each >= 2.
-	BroadcastSizes []int
-	// LoopSizes lists loop lengths, each >= 3.
-	LoopSizes []int
-	// PathSizes lists path vertex counts, each >= 2.
-	PathSizes []int
-}
-
-// DefaultConfig is the library used throughout the paper's experiments:
-// gossips MGG4 and MGG8, broadcasts G122, G123 and G124, loops L4 and L5,
-// and the path P3. Larger primitives are deliberately excluded: they need
-// more wiring resources and become less likely to be detected (Section 3,
-// "Design of the Communication Library"). The single-edge path P2 is also
-// excluded — it would match any nonempty graph, so no decomposition would
-// ever report a remainder (the paper's AES output does report one) and the
-// branching factor would degenerate to one branch per leftover edge.
-func DefaultConfig() Config {
-	return Config{
-		GossipSizes:    []int{4, 8},
-		BroadcastSizes: []int{5, 4, 3},
-		LoopSizes:      []int{4, 5},
-		PathSizes:      []int{3},
-	}
-}
-
-// NewLibrary builds a library from the config, ordering primitives by
-// decreasing representation-edge count (richest patterns first) with ties
-// broken by construction order. This ordering lets the branch-and-bound
-// peel the densest structure first, which is also the ablation baseline.
-func NewLibrary(cfg Config) (*Library, error) {
-	var prims []*Primitive
-	for _, n := range cfg.GossipSizes {
-		p, err := NewGossip(n)
-		if err != nil {
-			return nil, err
-		}
-		prims = append(prims, p)
-	}
-	for _, n := range cfg.BroadcastSizes {
-		p, err := NewBroadcast(n)
-		if err != nil {
-			return nil, err
-		}
-		prims = append(prims, p)
-	}
-	for _, n := range cfg.LoopSizes {
-		p, err := NewLoop(n)
-		if err != nil {
-			return nil, err
-		}
-		prims = append(prims, p)
-	}
-	for _, n := range cfg.PathSizes {
-		p, err := NewPath(n)
-		if err != nil {
-			return nil, err
-		}
-		prims = append(prims, p)
-	}
-	lib := &Library{}
-	for _, p := range prims {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		lib.prims = append(lib.prims, p)
-	}
-	lib.sortByRichness()
-	lib.renumber()
-	return lib, nil
-}
-
-// MustDefault returns the default library, panicking on construction
-// errors (which would be a programming bug, not an input condition).
+// MustDefault returns the library used throughout the paper's
+// experiments: "minimum gossip and broadcast graphs that have efficient
+// 2-D implementations and paths and loops of various sizes" (Section 3).
+// It holds the gossips MGG4 and MGG8, the broadcasts G122, G123 and G124,
+// the loops L4 and L5, and the path P3. Larger primitives are
+// deliberately excluded: they need more wiring resources and become less
+// likely to be detected (Section 3, "Design of the Communication
+// Library"). The single-edge path P2 is also excluded — it would match
+// any nonempty graph, so no decomposition would ever report a remainder
+// (the paper's AES output does report one) and the branching factor would
+// degenerate to one branch per leftover edge.
+//
+// Primitives are ordered by decreasing representation-edge count
+// (richest patterns first) with ties broken by the order above. This
+// ordering lets the branch-and-bound peel the densest structure first,
+// which is also the ablation baseline. Construction errors panic: they
+// would be a programming bug, not an input condition.
 func MustDefault() *Library {
-	lib, err := NewLibrary(DefaultConfig())
+	must := func(p *Primitive, err error) *Primitive {
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	lib, err := FromPrimitives(
+		must(NewGossip(4)), must(NewGossip(8)),
+		must(NewBroadcast(5)), must(NewBroadcast(4)), must(NewBroadcast(3)),
+		must(NewLoop(4)), must(NewLoop(5)),
+		must(NewPath(3)),
+	)
 	if err != nil {
 		panic(err)
 	}
+	lib.sortByRichness()
+	lib.renumber()
 	return lib
 }
 

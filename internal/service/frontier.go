@@ -152,14 +152,12 @@ func (s *Service) submitFrontier(req *FrontierRequest) (admission, error) {
 		job.opts.Timeout = timeout // run() reads the deadline from opts
 		job.runFn = func(ctx context.Context) ([]byte, error) {
 			fopts := frontier.Options{
-				Points: points,
-				Synth:  opts,
+				Points:   points,
+				Synth:    opts,
+				Validate: validate,
 				Emit: func(p frontier.Point) {
 					job.appendStream(frontier.MarshalPointLine(p))
 				},
-			}
-			if validate {
-				fopts.Validate = &frontier.Validate{Seed: 1}
 			}
 			res, err := frontier.Enumerate(ctx, acg, fopts)
 			if err != nil {

@@ -56,9 +56,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// Store is the result cache backend (nil means an in-memory LRU).
 	Store Store
-	// Library is the primitive catalog used for solving and for decoding
-	// cached results (nil means the paper's default library).
-	Library *primitives.Library
 	// Solve overrides the solver (nil means repro.SynthesizeContext).
 	Solve SolveFunc
 	// MaxJobs bounds the finished-job status retention (<= 0 means 4096).
@@ -121,9 +118,6 @@ func New(cfg Config) *Service {
 	if cfg.Store == nil {
 		cfg.Store = NewMemoryStore(0)
 	}
-	if cfg.Library == nil {
-		cfg.Library = repro.DefaultLibrary()
-	}
 	if cfg.Solve == nil {
 		cfg.Solve = func(ctx context.Context, acg *graph.Graph, opts repro.Options) (*repro.Result, error) {
 			return repro.SynthesizeContext(ctx, acg, opts)
@@ -132,7 +126,7 @@ func New(cfg Config) *Service {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:        cfg,
-		lib:        cfg.Library,
+		lib:        repro.DefaultLibrary(),
 		solve:      cfg.Solve,
 		store:      cfg.Store,
 		baseCtx:    ctx,
@@ -152,9 +146,6 @@ func New(cfg Config) *Service {
 	}
 	return s
 }
-
-// Library returns the catalog the service solves and decodes with.
-func (s *Service) Library() *primitives.Library { return s.lib }
 
 // Store returns the result cache backend.
 func (s *Service) Store() Store { return s.store }

@@ -5,7 +5,10 @@
 # check the repeat submission is served from the cache byte-identically,
 # the document stays addressable by content key, and a local
 # `nocsynth -frontier` run of the same problem produces the exact same
-# bytes. Needs only bash, curl and the go toolchain.
+# bytes. A validated submission ("validate": true, per-point zero-load
+# simulation) and `experiments -table floorplan` are compared byte for
+# byte against their goldens in scripts/golden. Needs only bash, curl and
+# the go toolchain.
 #
 # Usage: scripts/smoke_frontier.sh [PORT]
 set -euo pipefail
@@ -34,6 +37,11 @@ go build -o "$work/experiments" ./cmd/experiments
     cat "$work/aes.json"
     printf ', "options": {"mode": "links", "matchLimit": 1}, "points": 8}'
 } > "$work/request.json"
+{
+    printf '{"graph": '
+    cat "$work/aes.json"
+    printf ', "options": {"mode": "links", "matchLimit": 1}, "points": 8, "validate": true}'
+} > "$work/request_validate.json"
 
 echo "== start daemon =="
 "$work/nocserve" -addr "127.0.0.1:${port}" -cache-dir "$work/cache" \
@@ -108,5 +116,24 @@ cmp -s "$work/stream1.ndjson" "$work/local.ndjson" || {
     exit 1
 }
 
+echo "== validated frontier must match its golden =="
+curl -sf -X POST -H 'Content-Type: application/json' \
+    --data-binary @"$work/request_validate.json" \
+    "$base/v1/frontier?wait=1" > "$work/validate.ndjson"
+cmp -s scripts/golden/frontier_aes_validate.ndjson "$work/validate.ndjson" || {
+    echo "smoke_frontier: validated frontier differs from scripts/golden/frontier_aes_validate.ndjson" >&2
+    diff scripts/golden/frontier_aes_validate.ndjson "$work/validate.ndjson" >&2 || true
+    exit 1
+}
+
 kill "$server_pid" 2>/dev/null || true
-echo "smoke_frontier: OK ($points non-dominated points, cache byte-identity, key fetch, local/service identity)"
+
+echo "== experiments -table floorplan must match its golden =="
+"$work/experiments" -table floorplan > "$work/table_floorplan.txt"
+cmp -s scripts/golden/table_floorplan.txt "$work/table_floorplan.txt" || {
+    echo "smoke_frontier: floorplan table differs from scripts/golden/table_floorplan.txt" >&2
+    diff scripts/golden/table_floorplan.txt "$work/table_floorplan.txt" >&2 || true
+    exit 1
+}
+
+echo "smoke_frontier: OK ($points non-dominated points, cache byte-identity, key fetch, local/service identity, validated and floorplan goldens)"
