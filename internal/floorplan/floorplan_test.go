@@ -246,7 +246,10 @@ func TestPropertySlicingAlwaysLegal(t *testing.T) {
 		}
 		return p.Area() >= p.TotalCoreArea()-1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	// A fixed source (seed 1) draws the same 20 cases on every run, so a
+	// failure replays.
+	cfg := &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

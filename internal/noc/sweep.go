@@ -215,8 +215,9 @@ func Sweep(ctx context.Context, arch BatchArch, cfg SweepConfig) (*SweepResult, 
 func simPoint(ctx context.Context, net *Network, sp *BatchPoint, scratch Trace) (RatePoint, Trace, error) {
 	pt := RatePoint{Rate: sp.Rate, MeasuredCycles: sp.MeasureCycles}
 	horizon := sp.WarmupCycles + sp.MeasureCycles
+	nodes := net.Nodes()
 	trace, err := GenerateTraceInto(scratch, sp.Pattern, TrafficConfig{
-		Nodes: net.Nodes(),
+		Nodes: nodes,
 		Bits:  sp.Bits,
 		Rate:  sp.Rate,
 		Seed:  sp.Seed,
@@ -260,8 +261,11 @@ func simPoint(ctx context.Context, net *Network, sp *BatchPoint, scratch Trace) 
 		}
 	}
 
-	st := net.Stats()
-	n := float64(len(net.Nodes()))
+	// Only scalar counters are read, so they come straight from the
+	// network's accumulator: Stats() would also build the per-router and
+	// per-link traversal maps.
+	st := &net.stats
+	n := float64(len(nodes))
 	window := float64(sp.MeasureCycles)
 	pt.Offered = float64(pt.Injected) / (n * window)
 	pt.Delivered = st.Delivered

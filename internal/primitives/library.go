@@ -3,6 +3,7 @@ package primitives
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Library is the ordered communication library L = {P1, P2, ..., Pn} of the
@@ -28,9 +29,20 @@ type Library struct {
 // Primitives are ordered by decreasing representation-edge count
 // (richest patterns first) with ties broken by the order above. This
 // ordering lets the branch-and-bound peel the densest structure first,
-// which is also the ablation baseline. Construction errors panic: they
-// would be a programming bug, not an input condition.
-func MustDefault() *Library {
+// which is also the ablation baseline.
+//
+// The library is built once per process, on first use, and every call
+// returns the same *Library. It is shared read-only: the solver and the
+// decoder only read it, and callers must not modify it or its
+// primitives (FromPrimitives and Reversed copy the primitives they
+// renumber). Construction errors panic: they would be a programming
+// bug, not an input condition.
+func MustDefault() *Library { return defaultLibrary() }
+
+var defaultLibrary = sync.OnceValue(buildDefault)
+
+// buildDefault constructs the default library; MustDefault runs it once.
+func buildDefault() *Library {
 	must := func(p *Primitive, err error) *Primitive {
 		if err != nil {
 			panic(err)
@@ -52,20 +64,26 @@ func MustDefault() *Library {
 }
 
 // FromPrimitives builds a library from explicit primitives in the given
-// order, validating each.
+// order, validating each. The library holds copies of the primitive
+// structs, so assigning library IDs never renumbers the caller's
+// primitives (which may belong to another library, such as the shared
+// default). The copies share their graphs, schedules and routes with the
+// originals, which are read-only once built.
 func FromPrimitives(prims ...*Primitive) (*Library, error) {
 	lib := &Library{}
 	for _, p := range prims {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		lib.prims = append(lib.prims, p)
+		cp := *p
+		lib.prims = append(lib.prims, &cp)
 	}
 	lib.renumber()
 	return lib, nil
 }
 
-// Primitives returns the primitives in library order.
+// Primitives returns the primitives in library order. The slice is the
+// library's own: callers must not modify it.
 func (l *Library) Primitives() []*Primitive { return l.prims }
 
 // Len returns the number of primitives.

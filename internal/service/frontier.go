@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/primitives"
@@ -128,7 +129,7 @@ func (s *Service) submitFrontier(req *FrontierRequest) (admission, error) {
 	if opts.MaxLatency != 0 {
 		return admission{}, fmt.Errorf("service: frontier request cannot set MaxLatency")
 	}
-	opts.Library = s.lib
+	opts.Library = repro.DefaultLibrary()
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -140,7 +141,7 @@ func (s *Service) submitFrontier(req *FrontierRequest) (admission, error) {
 	// the sweep context rather than carrying their own timers.
 	opts.Timeout = 0
 
-	key, err := FrontierKey(req, s.lib)
+	key, err := FrontierKey(req, repro.DefaultLibrary())
 	if err != nil {
 		return admission{}, err
 	}

@@ -279,7 +279,7 @@ func (j *Job) Status() Status {
 
 	if done {
 		j.summaryOnce.Do(func() {
-			res, err := repro.DecodeResult(enc, j.svc.lib)
+			res, err := repro.DecodeResult(enc, repro.DefaultLibrary())
 			if err != nil {
 				return
 			}

@@ -78,7 +78,6 @@ var (
 // Service is the daemon core: queue, workers, cache, coalescing.
 type Service struct {
 	cfg     Config
-	lib     *primitives.Library
 	solve   SolveFunc
 	store   Store
 	Metrics Metrics
@@ -126,7 +125,6 @@ func New(cfg Config) *Service {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:        cfg,
-		lib:        repro.DefaultLibrary(),
 		solve:      cfg.Solve,
 		store:      cfg.Store,
 		baseCtx:    ctx,
@@ -157,7 +155,7 @@ type Request struct {
 	// Options configure the solve. Options.Timeout is the per-job
 	// deadline; zero applies Config.DefaultTimeout, and any value is
 	// clamped to Config.MaxTimeout. Options.Library is overridden by the
-	// service's catalog.
+	// default library.
 	Options repro.Options
 	// Wait marks the submission as attended: the caller will block on the
 	// job, and if every attending caller disconnects before completion
@@ -262,14 +260,14 @@ func (s *Service) submit(req Request) (admission, error) {
 		return admission{}, fmt.Errorf("service: empty ACG")
 	}
 	opts := req.Options
-	opts.Library = s.lib
+	opts.Library = repro.DefaultLibrary()
 	if opts.Timeout <= 0 {
 		opts.Timeout = s.cfg.DefaultTimeout
 	}
 	if opts.Timeout > s.cfg.MaxTimeout {
 		opts.Timeout = s.cfg.MaxTimeout
 	}
-	key := CacheKey(req.ACG, opts, s.lib)
+	key := CacheKey(req.ACG, opts, repro.DefaultLibrary())
 	s.Metrics.jobSubmitted("")
 	return s.submitKeyed(key, req.Wait, "", func() *Job {
 		job := s.newJobLocked(key, req.Wait)

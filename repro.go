@@ -77,7 +77,8 @@ var (
 	// DefaultNetworkConfig mirrors a small FPGA-era router (32-bit links,
 	// 4-flit buffers, 3-stage pipeline, 100 MHz).
 	DefaultNetworkConfig = noc.DefaultConfig
-	// DefaultLibrary returns the paper's communication library.
+	// DefaultLibrary returns the paper's communication library. It is
+	// built once per process and shared: callers must not modify it.
 	DefaultLibrary = primitives.MustDefault
 	// GridPlacement places n identical cores on a near-square grid.
 	GridPlacement = floorplan.Grid
