@@ -8,7 +8,8 @@ package repro
 //	Fig4a  — decomposition run time on TGFF-style task graphs (5..18 nodes)
 //	Fig4b  — decomposition run time on Pajek-style random graphs (10..40)
 //	Fig5   — the planted random benchmark, decomposed to zero remainder
-//	Fig6   — the AES ACG decomposition (4xMGG4 + 2xL4 + remainder)
+//	Fig6   — the AES ACG decomposition (4xMGG4 + 2xL4 + remainder), and
+//	         the same ACG in energy mode
 //	TableAES — distributed AES on mesh vs customized architecture
 //	Ablation* — bounding on/off, library order, match cap
 
@@ -35,11 +36,19 @@ import (
 
 func solveOnce(b *testing.B, acg *graph.Graph, opts core.Options) {
 	b.Helper()
+	solvePlaced(b, acg, nil, opts)
+}
+
+// solvePlaced is solveOnce on a floorplan, which energy mode prices
+// links by.
+func solvePlaced(b *testing.B, acg *graph.Graph, place *Placement, opts core.Options) {
+	b.Helper()
 	res, err := core.Solve(core.Problem{
-		ACG:     acg,
-		Library: primitives.MustDefault(),
-		Energy:  energy.Tech180,
-		Options: opts,
+		ACG:       acg,
+		Library:   primitives.MustDefault(),
+		Placement: place,
+		Energy:    energy.Tech180,
+		Options:   opts,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -115,6 +124,19 @@ func BenchmarkFig6_AESDecomposition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		solveOnce(b, acg, opts)
+	}
+}
+
+// BenchmarkFig6_AESEnergy solves the Figure 6 AES ACG in energy mode
+// (Equation 5 over a grid floorplan, 180 nm) on one worker: the slowest
+// fixed instance of the synth-cold workload, 1 186 tree nodes.
+func BenchmarkFig6_AESEnergy(b *testing.B) {
+	acg := AESACG(0.1)
+	place := GridPlacement(16, 1, 1, 0.2)
+	opts := core.Options{Mode: core.CostEnergy, Timeout: 60 * time.Second, Parallelism: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solvePlaced(b, acg, place, opts)
 	}
 }
 

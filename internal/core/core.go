@@ -232,8 +232,7 @@ type Options struct {
 	// identical at every worker count (ties broken by candRank order).
 	// Zero means GOMAXPROCS; 1 forces the serial search.
 	Parallelism int
-	// Deprecated: ignored. The solver no longer has a match cache; every
-	// enumeration runs fresh.
+	// Deprecated: ignored. The solver no longer has a match cache.
 	DisableIsoCache bool
 	// Deprecated: ignored.
 	IsoCacheEntries int

@@ -64,31 +64,99 @@ func newPrimInfo(prim *primitives.Primitive) (primInfo, error) {
 	return pi, nil
 }
 
-// coverRec is one distinct covered-edge set seen by the running
-// enumeration, with the cheapest raw matching found for it so far. Its
-// sorted edge ids and that matching's core live in the worker's flat
-// arenas at the record's index.
+// coverRec is the dedup record of one cover in the running enumeration;
+// the cover itself is the same index of the worker's arena.
 type coverRec struct {
 	sig  graphSig
-	cost float64
 	next int32 // older rec with the same sig (a 128-bit collision), or -1
 }
 
-// enumerate lists the matchings of one primitive in the remaining graph
-// (the frozen ACG restricted to mask), deduplicated by covered edge set
-// (keeping the cheapest mapping — two matchings that remove the same edges
-// lead to identical subtrees, so only the cheaper embedding can belong to
-// the optimum), ranked by cost, and capped at the match limit.
+// coverStore holds the distinct covers one VF2 enumeration found, in
+// first-seen order: cover i's sorted edge ids at ids[i*k:(i+1)*k], the
+// core of its cheapest raw matching at cores[i*pn:(i+1)*pn] and that
+// matching's cost at costs[i], k and pn being the primitive's edge and
+// vertex counts.
+type coverStore struct {
+	ids, cores []int32
+	costs      []float64
+	k, pn      int
+}
+
+// cover returns cover i's sorted edge ids, capped so an append cannot
+// overwrite the next cover.
+func (s *coverStore) cover(i int32) []int32 {
+	return s.ids[int(i)*s.k : int(i+1)*s.k : int(i+1)*s.k]
+}
+
+// core returns cover i's best raw matching as a pattern -> ACG dense
+// index array.
+func (s *coverStore) core(i int32) []int32 { return s.cores[int(i)*s.pn : int(i+1)*s.pn] }
+
+// coverList is one primitive's cover list at one tree node: every
+// distinct cover of the node's remaining graph, as indices into src,
+// stable-sorted by cost over first-seen order and not yet capped at
+// MatchLimit. src is the list's own store when the node ran VF2, or the
+// store of the ancestor whose list it inherits; that ancestor is on the
+// current search path (or is the root), so its store stays put while the
+// list is in use.
 //
-// Raw matchings never leave dense index space: the VF2 visitor hands each
-// one over as a core array, and visit derives its covered edge ids, their
-// signature and its Equation 5 cost straight from it into per-worker flat
-// arenas. Only the at most MatchLimit survivors become Mappings, rank
-// strings and candidate records.
+// complete marks a list whose enumeration ran to its end: VF2 stopped
+// below IsoLimit and no deadline cut it. A child's list can then be taken
+// from it without a search (see enumerate). A list that is not complete
+// keeps only its capped head, the covers its own node expands.
+type coverList struct {
+	own      coverStore
+	src      *coverStore
+	idx      []int32
+	complete bool
+}
+
+// enumerate fills out with the cover list of one primitive in the
+// remaining graph (the frozen ACG restricted to mask, live edges): its
+// matchings deduplicated by covered edge set, keeping the cheapest mapping
+// (two matchings that remove the same edges lead to identical subtrees,
+// so only the cheaper embedding can belong to the optimum), ranked by
+// cost. The MatchLimit cap applies when candidates are drawn from it.
 //
-// As in the paper's Figure 3, every tree node runs its isomorphism search
-// afresh; nothing is memoized across nodes or solves.
-func (w *worker) enumerate(primIdx int, mask graph.EdgeMask) []candidate {
+// parent is the primitive's list at the parent node, or nil at the root.
+// When it is complete, the list is inherited instead of searched for. The
+// child's remaining graph is the parent's minus one match's covered
+// edges, and matching is monomorphism, so the child's raw matchings are
+// exactly the parent's whose covered edges are all still live, in the
+// same VF2 order: each candidate row under the smaller mask is an
+// order-preserving subsequence of the row under the larger. A surviving
+// cover keeps all its raw matchings, hence its cheapest core and its
+// first-seen place, and the stable cost sort of a subsequence is that
+// subsequence of the sorted list. So the child's list is the parent's
+// filtered by mask, and is complete in turn; the filter runs no VF2, no
+// edge lookup and no costing.
+//
+// Otherwise VF2 runs. Raw matchings never leave dense index space: the
+// visitor hands each one over as a core array, and visit derives its
+// covered edge ids, their signature and its Equation 5 cost straight from
+// it into the worker's arena, which is then copied into the list's own
+// store.
+func (w *worker) enumerate(primIdx int, mask graph.EdgeMask, live int, parent, out *coverList) {
+	pi := &w.sh.prims[primIdx]
+	out.idx = out.idx[:0]
+	out.src = &out.own
+	if live < len(pi.from) || w.sh.facg.NodeCount() < pi.prim.Size {
+		// No monomorphism fits: the empty list is complete.
+		out.complete = true
+		return
+	}
+	if parent != nil && parent.complete {
+		out.src = parent.src
+		out.idx = slices.Grow(out.idx, len(parent.idx))
+		for _, i := range parent.idx {
+			if allLive(mask, parent.src.cover(i)) {
+				out.idx = append(out.idx, i)
+			}
+		}
+		out.complete = true
+		return
+	}
+
 	opts := iso.Options{}
 	if w.sh.isoLimit > 0 {
 		opts.Limit = w.sh.isoLimit
@@ -99,23 +167,22 @@ func (w *worker) enumerate(primIdx int, mask graph.EdgeMask) []candidate {
 	if !w.sh.deadline.IsZero() && (opts.Deadline.IsZero() || w.sh.deadline.Before(opts.Deadline)) {
 		opts.Deadline = w.sh.deadline
 	}
-	pi := &w.sh.prims[primIdx]
+	ar := &w.arena
+	ar.k, ar.pn = len(pi.from), pi.pat.NodeCount()
 	w.cur = pi
 	defer w.resetArena()
 	// A deadline may truncate the enumeration: the matchings found so far
-	// are still usable at this node.
+	// are still usable at this node, but not by its children.
 	found, err := w.search.FindEach(pi.pat, w.sh.facg, mask, opts, w.visitFn)
-	if err != nil && found == 0 {
-		return nil
-	}
+	out.complete = err == nil && (opts.Limit == 0 || found < opts.Limit)
 
-	// First-seen cover order, stable-sorted by cost, then capped.
+	// First-seen cover order, stable-sorted by cost.
 	order := w.order[:0]
-	for i := range w.recs {
+	for i := range ar.costs {
 		order = append(order, int32(i))
 	}
 	slices.SortStableFunc(order, func(a, b int32) int {
-		ca, cb := w.recs[a].cost, w.recs[b].cost
+		ca, cb := ar.costs[a], ar.costs[b]
 		switch {
 		case ca < cb:
 			return -1
@@ -125,27 +192,45 @@ func (w *worker) enumerate(primIdx int, mask graph.EdgeMask) []candidate {
 		return 0
 	})
 	w.order = order
-	if w.sh.matchLimit > 0 && len(order) > w.sh.matchLimit {
+	// The store keeps the sorted list: whole when children may inherit
+	// it, else only the head this node draws candidates from.
+	if !out.complete && w.sh.matchLimit > 0 && len(order) > w.sh.matchLimit {
 		order = order[:w.sh.matchLimit]
 	}
-	cands := make([]candidate, len(order))
-	for i, j := range order {
-		cands[i] = w.candidateOf(primIdx, pi, int(j))
+	st := &out.own
+	st.k, st.pn = ar.k, ar.pn
+	st.ids = slices.Grow(st.ids[:0], len(order)*st.k)
+	st.cores = slices.Grow(st.cores[:0], len(order)*st.pn)
+	st.costs = slices.Grow(st.costs[:0], len(order))
+	for n, i := range order {
+		st.ids = append(st.ids, ar.cover(i)...)
+		st.cores = append(st.cores, ar.core(i)...)
+		st.costs = append(st.costs, ar.costs[i])
+		out.idx = append(out.idx, int32(n))
 	}
-	return cands
 }
 
-// visit records one raw matching of w.cur: it resolves the covered ACG
-// edge ids through the core array, costs the matching, and either opens a
-// record for a new cover or replaces a known cover's matching when it is
-// strictly cheaper. A cover is identified by its 128-bit signature and
+// allLive reports whether every edge in ids is set in mask.
+func allLive(mask graph.EdgeMask, ids []int32) bool {
+	for _, e := range ids {
+		if !mask.Has(int(e)) {
+			return false
+		}
+	}
+	return true
+}
+
+// visit records one raw matching of w.cur in the arena: it resolves the
+// covered ACG edge ids through the core array, costs the matching, and
+// either opens a new cover or replaces a known cover's matching when it
+// is strictly cheaper. A cover is identified by its 128-bit signature and
 // confirmed by its sorted ids, so a signature collision never merges two
 // covers.
 func (w *worker) visit(core []int32) {
-	pi := w.cur
-	k, n := len(pi.from), len(w.recs)
-	w.ids = slices.Grow(w.ids[:n*k], k)[:(n+1)*k]
-	ids := w.ids[n*k:]
+	pi, st := w.cur, &w.arena
+	k, n := len(pi.from), len(st.costs)
+	st.ids = slices.Grow(st.ids[:n*k], k)[:(n+1)*k]
+	ids := st.ids[n*k:]
 	var sig graphSig
 	for r := range pi.from {
 		e, ok := w.sh.facg.EdgeIndexBetween(int(core[pi.from[r]]), int(core[pi.to[r]]))
@@ -161,33 +246,54 @@ func (w *worker) visit(core []int32) {
 
 	head := w.byCover.get(w.recs, sig)
 	for j := head; j >= 0; j = w.recs[j].next {
-		if slices.Equal(w.ids[int(j)*k:int(j+1)*k], ids) {
-			if cost < w.recs[j].cost {
-				w.recs[j].cost = cost
-				copy(w.cores[int(j)*len(core):], core)
+		if slices.Equal(st.cover(j), ids) {
+			if cost < st.costs[j] {
+				st.costs[j] = cost
+				copy(st.core(j), core)
 			}
+			st.ids = st.ids[:n*k]
 			return
 		}
 	}
-	w.recs = append(w.recs, coverRec{sig: sig, cost: cost, next: head})
-	w.cores = append(w.cores, core...)
+	w.recs = append(w.recs, coverRec{sig: sig, next: head})
+	st.cores = append(st.cores, core...)
+	st.costs = append(st.costs, cost)
 	w.byCover.put(w.recs, int32(n))
 }
 
-// candidateOf materializes arena record j of the running enumeration as a
-// candidate: its Mapping, rank and latency contributions. The latency sums
-// run over the covered edges in ascending id order.
-func (w *worker) candidateOf(primIdx int, pi *primInfo, j int) candidate {
-	facg := w.sh.facg
-	k, pn := len(pi.from), pi.pat.NodeCount()
-	ids := slices.Clone(w.ids[j*k : (j+1)*k])
-	core := w.cores[j*pn : (j+1)*pn]
+// capped returns how many of l's covers become candidates: all of them,
+// or the first MatchLimit.
+func (w *worker) capped(l *coverList) int {
+	if n := len(l.idx); w.sh.matchLimit <= 0 || n <= w.sh.matchLimit {
+		return n
+	}
+	return w.sh.matchLimit
+}
 
-	mapping := make(iso.Mapping, pn)
+// candidates materializes the capped head of primitive primIdx's list l.
+func (w *worker) candidates(primIdx int, l *coverList) []candidate {
+	cands := make([]candidate, w.capped(l))
+	for j := range cands {
+		cands[j] = w.candidateOf(primIdx, l, j, candRank(primIdx, w.sh.facg, l.src.cover(l.idx[j])))
+	}
+	return cands
+}
+
+// candidateOf materializes the j-th cover of primitive primIdx's list l
+// as a candidate of the given rank: its Mapping and latency
+// contributions. Its covered ids alias the list's store. The latency sums
+// run over the covered edges in ascending id order.
+func (w *worker) candidateOf(primIdx int, l *coverList, j int, rank string) candidate {
+	pi := &w.sh.prims[primIdx]
+	facg := w.sh.facg
+	i := l.idx[j]
+	ids, core := l.src.cover(i), l.src.core(i)
+
+	mapping := make(iso.Mapping, len(core))
 	for p, t := range core {
 		mapping[pi.pat.IDOf(p)] = facg.IDOf(int(t))
 	}
-	hops := slices.Grow(w.hops[:0], k)[:k]
+	hops := slices.Grow(w.hops[:0], len(ids))[:len(ids)]
 	w.hops = hops
 	for r := range pi.from {
 		e, _ := facg.EdgeIndexBetween(int(core[pi.from[r]]), int(core[pi.to[r]]))
@@ -201,9 +307,9 @@ func (w *worker) candidateOf(primIdx int, pi *primInfo, j int) candidate {
 		wh += lw * hops[i]
 	}
 	return candidate{
-		match:      Match{Primitive: pi.prim, Mapping: mapping, Cost: w.recs[j].cost},
+		match:      Match{Primitive: pi.prim, Mapping: mapping, Cost: l.src.costs[i]},
 		coveredIDs: ids,
-		rank:       candRank(primIdx, facg, ids),
+		rank:       rank,
 		wHops:      wh,
 		weight:     wt,
 	}
@@ -213,7 +319,7 @@ func (w *worker) candidateOf(primIdx int, pi *primInfo, j int) candidate {
 func (w *worker) resetArena() {
 	w.byCover.reset()
 	w.recs = w.recs[:0]
-	w.cores = w.cores[:0]
+	w.arena.ids, w.arena.cores, w.arena.costs = w.arena.ids[:0], w.arena.cores[:0], w.arena.costs[:0]
 	w.cur = nil
 }
 

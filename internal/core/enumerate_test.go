@@ -118,6 +118,14 @@ func referenceEnumerate(sh *shared, c *coster, primIdx int, mask graph.EdgeMask)
 	return cands
 }
 
+// freshCandidates enumerates a primitive by VF2, as at the root, and
+// materializes its capped candidates.
+func (w *worker) freshCandidates(primIdx int, mask graph.EdgeMask) []candidate {
+	var l coverList
+	w.enumerate(primIdx, mask, mask.Count(), nil, &l)
+	return w.candidates(primIdx, &l)
+}
+
 // diffGraphs is the differential test's instance set: the AES and
 // Figure 5 graphs plus seeded TGFF and scale-free graphs.
 func diffGraphs(t *testing.T) map[string]*graph.Graph {
@@ -178,7 +186,7 @@ func TestEnumerateMatchesReference(t *testing.T) {
 					for primIdx := range lib.Primitives() {
 						where := fmt.Sprintf("%s mode %d limit %d mask %d prim %s", name, mode, limit, mi, lib.Primitives()[primIdx].Name)
 						want := referenceEnumerate(sh, &w.coster, primIdx, mask)
-						got := w.enumerate(primIdx, mask)
+						got := w.freshCandidates(primIdx, mask)
 						compareCandidates(t, where, sh, primIdx, got, want)
 					}
 				}
@@ -220,6 +228,144 @@ func compareCandidates(t *testing.T, where string, sh *shared, primIdx int, got 
 	}
 }
 
+// Along chains of masks that only lose edges, as down a search path, a
+// list inherited from its parent must equal a fresh VF2 enumeration of
+// the same mask, candidate by candidate, and carry the same completeness.
+// At IsoLimit 4 most parents are truncated and must not be inherited: a
+// child then finds matchings its parent never reached.
+func TestInheritedListMatchesFresh(t *testing.T) {
+	lib := primitives.MustDefault()
+	for name, g := range diffGraphs(t) {
+		for _, mode := range []CostMode{CostLinks, CostEnergy} {
+			for _, isoLimit := range []int{0, 4, -1} {
+				p := Problem{
+					ACG:       g,
+					Library:   lib,
+					Placement: floorplan.Grid(g.NodeCount(), 1, 1, 0.2),
+					Energy:    energy.Tech180,
+					Options:   Options{Mode: mode, MatchLimit: -1, IsoLimit: isoLimit},
+				}
+				sh, err := newShared(context.Background(), &p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := sh.newWorker()
+				rng := rand.New(rand.NewSource(int64(len(name))*131 + int64(mode)*7 + int64(isoLimit)))
+				mask, live := sh.fullMask.Clone(), sh.facg.EdgeCount()
+				parent := make([]coverList, len(sh.prims))
+				for primIdx := range parent {
+					w.enumerate(primIdx, mask, live, nil, &parent[primIdx])
+				}
+				inherited := 0
+				for step := 0; step < 5 && live > 0; step++ {
+					mask = loseEdges(rng, mask, parent)
+					live = mask.Count()
+					child := make([]coverList, len(sh.prims))
+					for primIdx := range child {
+						where := fmt.Sprintf("%s mode %d iso %d step %d prim %s", name, mode, isoLimit, step, sh.prims[primIdx].prim.Name)
+						if parent[primIdx].complete {
+							inherited++
+						}
+						w.enumerate(primIdx, mask, live, &parent[primIdx], &child[primIdx])
+						var fresh coverList
+						w.enumerate(primIdx, mask, live, nil, &fresh)
+						if child[primIdx].complete != fresh.complete {
+							t.Fatalf("%s: complete %v, fresh %v", where, child[primIdx].complete, fresh.complete)
+						}
+						compareLists(t, where, w.candidates(primIdx, &child[primIdx]), w.candidates(primIdx, &fresh))
+					}
+					parent = child
+				}
+				if inherited == 0 && isoLimit != 4 {
+					t.Fatalf("%s mode %d iso %d: no list was inherited; the check is vacuous", name, mode, isoLimit)
+				}
+			}
+		}
+	}
+}
+
+// loseEdges returns a copy of mask with edges cleared: alternately the
+// cover of a random listed match, as a tree step removes, or a random
+// fifth of the live edges.
+func loseEdges(rng *rand.Rand, mask graph.EdgeMask, lists []coverList) graph.EdgeMask {
+	next := mask.Clone()
+	if rng.Intn(2) == 0 {
+		var nonEmpty []*coverList
+		for i := range lists {
+			if len(lists[i].idx) > 0 {
+				nonEmpty = append(nonEmpty, &lists[i])
+			}
+		}
+		if len(nonEmpty) > 0 {
+			l := nonEmpty[rng.Intn(len(nonEmpty))]
+			for _, e := range l.src.cover(l.idx[rng.Intn(len(l.idx))]) {
+				next.Clear(int(e))
+			}
+			return next
+		}
+	}
+	mask.ForEach(func(e int) {
+		if rng.Intn(5) == 0 {
+			next.Clear(e)
+		}
+	})
+	return next
+}
+
+// compareLists asserts two candidate lists are equal field by field.
+func compareLists(t *testing.T, where string, got, want []candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, fresh %d", where, len(got), len(want))
+	}
+	for i := range got {
+		g, f := got[i], want[i]
+		switch {
+		case g.rank != f.rank:
+			t.Fatalf("%s cand %d: rank differs", where, i)
+		case !slices.Equal(g.coveredIDs, f.coveredIDs):
+			t.Fatalf("%s cand %d: ids %v, fresh %v", where, i, g.coveredIDs, f.coveredIDs)
+		case math.Float64bits(g.match.Cost) != math.Float64bits(f.match.Cost):
+			t.Fatalf("%s cand %d: cost %v, fresh %v", where, i, g.match.Cost, f.match.Cost)
+		case math.Float64bits(g.wHops) != math.Float64bits(f.wHops),
+			math.Float64bits(g.weight) != math.Float64bits(f.weight):
+			t.Fatalf("%s cand %d: wHops/weight %v/%v, fresh %v/%v", where, i, g.wHops, g.weight, f.wHops, f.weight)
+		case g.match.Primitive != f.match.Primitive:
+			t.Fatalf("%s cand %d: primitive differs", where, i)
+		case !slices.Equal(g.match.Mapping.Pairs(), f.match.Mapping.Pairs()):
+			t.Fatalf("%s cand %d: mapping %v, fresh %v", where, i, g.match.Mapping.Pairs(), f.match.Mapping.Pairs())
+		}
+	}
+}
+
+// A search that stops at exactly IsoLimit matchings may have been cut
+// short, so its list is never complete; one limit higher, the same search
+// is.
+func TestIsoLimitHitIsIncomplete(t *testing.T) {
+	lib := primitives.MustDefault()
+	primIdx := slices.Index(lib.Primitives(), lib.ByName("MGG4"))
+	acg := aesACG(8, 1)
+	n, err := iso.FindEachFrozen(lib.Primitives()[primIdx].Rep.Freeze(), acg.Freeze(), nil, iso.Options{}, func([]int32) {})
+	if err != nil || n == 0 {
+		t.Fatalf("MGG4 on AES: %d matchings, err %v", n, err)
+	}
+	for _, c := range []struct {
+		limit    int
+		complete bool
+	}{{n, false}, {n + 1, true}} {
+		p := Problem{ACG: acg, Library: lib, Energy: energy.Tech180, Options: Options{Mode: CostLinks, IsoLimit: c.limit}}
+		sh, err := newShared(context.Background(), &p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l coverList
+		sh.newWorker().enumerate(primIdx, sh.fullMask, sh.facg.EdgeCount(), nil, &l)
+		if l.complete != c.complete {
+			t.Fatalf("IsoLimit %d with %d matchings: complete %v, want %v", c.limit, n, l.complete, c.complete)
+		}
+	}
+}
+
 // Covers whose signatures collide must still be told apart by their edge
 // ids: with every edge hash zeroed, all covers share one signature, and
 // enumerate must still return the reference list.
@@ -242,7 +388,7 @@ func TestEnumerateSignatureCollisionsNeverMerge(t *testing.T) {
 			w := sh.newWorker()
 			for primIdx, prim := range lib.Primitives() {
 				want := referenceEnumerate(sh, &w.coster, primIdx, sh.fullMask)
-				got := w.enumerate(primIdx, sh.fullMask)
+				got := w.freshCandidates(primIdx, sh.fullMask)
 				compareCandidates(t, fmt.Sprintf("%s mode %d prim %s", name, mode, prim.Name), sh, primIdx, got, want)
 			}
 		}
@@ -266,9 +412,11 @@ func TestEnumerateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := sh.newWorker()
+	var l coverList
 	var n int
 	allocs := testing.AllocsPerRun(20, func() {
-		n = len(w.enumerate(primIdx, sh.fullMask))
+		w.enumerate(primIdx, sh.fullMask, sh.facg.EdgeCount(), nil, &l)
+		n = len(w.candidates(primIdx, &l))
 	})
 	if n != 1 {
 		t.Fatalf("MGG4 on AES: %d candidates, want 1 (the default match cap)", n)

@@ -72,7 +72,7 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 	// the work units the workers partition among themselves.
 	root := sh.newWorker()
 	root.stats.NodesExplored++
-	branches := root.collectRootBranches()
+	branches, rootLists := root.collectRootBranches()
 
 	workers := []*worker{root}
 	if root.stopped() {
@@ -98,10 +98,10 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w.run(branches)
+				w.run(branches, rootLists)
 			}()
 		}
-		root.run(branches)
+		root.run(branches, rootLists)
 		wg.Wait()
 	}
 
@@ -208,7 +208,8 @@ func (sh *shared) newWorker() *worker {
 // from the shared counter. Its statistics are local (merged after the
 // search) so the hot path stays free of shared writes. The remaining
 // fields are the reusable state of enumerate (see enumerate.go): the VF2
-// searcher and the flat arena the raw matchings are deduplicated in.
+// searcher, the dedup records of the running enumeration, and the cover
+// lists of the nodes on the current path.
 type worker struct {
 	sh     *shared
 	coster coster
@@ -217,12 +218,22 @@ type worker struct {
 	search  iso.Searcher
 	visitFn func(core []int32) // w.visit, bound once
 	cur     *primInfo          // primitive of the running enumeration
-	recs    []coverRec         // distinct covers, first-seen order
-	ids     []int32            // recs[i]'s sorted edge ids at [i*k:(i+1)*k]
-	cores   []int32            // recs[i]'s best core at [i*pn:(i+1)*pn]
+	arena   coverStore         // the running enumeration's covers
+	recs    []coverRec         // the arena's covers' dedup records
 	byCover coverIndex         // cover signature -> newest rec with it
-	order   []int32            // rec indices, cost-sorted
+	order   []int32            // arena indices, cost-sorted
 	hops    []float64          // per sorted covered edge, its route hops
+	levels  [][]coverList      // levels[d][p]: primitive p's list at path depth d
+}
+
+// level returns the cover lists of the path node at depth d (the number
+// of matches taken), one per primitive. They are reused by every node the
+// worker visits at that depth.
+func (w *worker) level(d int) []coverList {
+	for len(w.levels) <= d {
+		w.levels = append(w.levels, make([]coverList, len(w.sh.prims)))
+	}
+	return w.levels[d]
 }
 
 // stopped reports whether the search should halt, latching the shared stop
@@ -250,24 +261,25 @@ func (w *worker) stopped() bool {
 
 // collectRootBranches mirrors the expansion step of dfs at the tree root,
 // where minRank is empty so every candidate of every primitive branches:
-// each one is a top-level work unit.
-func (w *worker) collectRootBranches() []candidate {
+// each one is a top-level work unit. It also returns the root's cover
+// lists, one per primitive, which every worker then reads as the parent
+// lists of its root branches; the branches' covered ids alias them. They
+// are allocated here, outside any worker's levels, and are never written
+// again.
+func (w *worker) collectRootBranches() ([]candidate, []coverList) {
 	sh := w.sh
-	live := sh.facg.EdgeCount()
-	nodes := sh.facg.NodeCount()
+	lists := make([]coverList, len(sh.prims))
 	var out []candidate
-	for primIdx, prim := range sh.p.Library.Primitives() {
-		if live < prim.Rep.EdgeCount() || nodes < prim.Size {
-			continue
-		}
-		out = append(out, w.enumerate(primIdx, sh.fullMask)...)
+	for primIdx := range lists {
+		w.enumerate(primIdx, sh.fullMask, sh.facg.EdgeCount(), nil, &lists[primIdx])
+		out = append(out, w.candidates(primIdx, &lists[primIdx])...)
 	}
-	return out
+	return out, lists
 }
 
 // run claims root branches until none remain, exploring each subtree
-// depth-first.
-func (w *worker) run(branches []candidate) {
+// depth-first below the root's cover lists.
+func (w *worker) run(branches []candidate, rootLists []coverList) {
 	for {
 		i := int(w.sh.next.Add(1)) - 1
 		if i >= len(branches) {
@@ -281,13 +293,14 @@ func (w *worker) run(branches []candidate) {
 		m := b.match
 		m.Depth = 0
 		mask := w.sh.fullMask.Without(b.coveredIDs)
-		w.dfs(mask, w.sh.facg.EdgeCount()-len(b.coveredIDs), []Match{m}, []string{b.rank}, m.Cost, b.wHops, w.sh.totalWeight-b.weight)
+		w.dfs(rootLists, mask, w.sh.facg.EdgeCount()-len(b.coveredIDs), []Match{m}, []string{b.rank}, m.Cost, b.wHops, w.sh.totalWeight-b.weight)
 	}
 }
 
-// dfs explores one decomposition-tree node: mask selects the live edges of
-// the graph still to cover (live is their count), matches the path from the
-// root, ranks the candRank of each match, cost the accumulated match cost.
+// dfs explores one decomposition-tree node: parent holds the parent node's
+// cover lists, mask selects the live edges of the graph still to cover
+// (live is their count), matches the path from the root, ranks the
+// candRank of each match, cost the accumulated match cost.
 // wHops carries the weighted hop count of the matches taken so far and
 // liveWeight the latency weight still live in mask; together they give the
 // admissible latency lower bound of every leaf below this node.
@@ -298,7 +311,7 @@ func (w *worker) run(branches []candidate) {
 // rank order (library index, then covered-edge key) — only candidates
 // ranking above the last expanded match branch, which eliminates the
 // factorial permutation blow-up without excluding any decomposition.
-func (w *worker) dfs(mask graph.EdgeMask, live int, matches []Match, ranks []string, cost float64, wHops, liveWeight float64) {
+func (w *worker) dfs(parent []coverList, mask graph.EdgeMask, live int, matches []Match, ranks []string, cost float64, wHops, liveWeight float64) {
 	if w.stopped() {
 		return
 	}
@@ -334,33 +347,36 @@ func (w *worker) dfs(mask graph.EdgeMask, live int, matches []Match, ranks []str
 		}
 	}
 
-	nodes := w.sh.facg.NodeCount()
+	// Canonical ordering: no candidate of a primitive before minPrim may
+	// expand below a higher-ranked match; the permutation that expands it
+	// earlier covers that part of the space. Every list this node needs is
+	// built before any child runs, so a child, which needs primitives from
+	// its own match's onward, finds its parent's list for each of them.
+	// Enumeration does not depend on the incumbent, so the tree is the same
+	// as when each primitive was enumerated just before its expansion.
 	minRank := ranks[len(ranks)-1]
 	minPrim := int(minRank[0])<<8 | int(minRank[1])
+	lists := w.level(len(matches))
+	for primIdx := minPrim; primIdx < len(lists); primIdx++ {
+		w.enumerate(primIdx, mask, live, &parent[primIdx], &lists[primIdx])
+	}
 	expanded := false
-	for primIdx, prim := range w.sh.p.Library.Primitives() {
-		if live < prim.Rep.EdgeCount() || nodes < prim.Size {
-			continue
-		}
-		if primIdx < minPrim {
-			// Canonical ordering: no candidate of this primitive may
-			// expand below a higher-ranked match; the permutation that
-			// expands it earlier covers that part of the space.
-			continue
-		}
-		cands := w.enumerate(primIdx, mask)
-		for _, cand := range cands {
+	for primIdx := minPrim; primIdx < len(lists); primIdx++ {
+		l := &lists[primIdx]
+		for j := range w.capped(l) {
 			if w.stopped() {
 				return
 			}
-			if cand.rank <= minRank {
+			rank := candRank(primIdx, w.sh.facg, l.src.cover(l.idx[j]))
+			if rank <= minRank {
 				continue
 			}
 			expanded = true
 			w.stats.MatchingsTried++
+			cand := w.candidateOf(primIdx, l, j, rank)
 			cand.match.Depth = len(matches)
 			next := mask.Without(cand.coveredIDs)
-			w.dfs(next, live-len(cand.coveredIDs), append(matches, cand.match), append(ranks, cand.rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
+			w.dfs(lists, next, live-len(cand.coveredIDs), append(matches, cand.match), append(ranks, cand.rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
 		}
 	}
 
@@ -594,10 +610,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// MatchCache is kept so existing callers compile. The solver no longer
-// memoizes enumerations, so a MatchCache holds nothing.
+// MatchCache is kept so existing callers compile. The solver keeps no
+// enumeration across solves, so a MatchCache holds nothing.
 //
-// Deprecated: ignored; every enumeration runs fresh.
+// Deprecated: ignored; the solver no longer has a match cache.
 type MatchCache struct{}
 
 // NewMatchCache returns an empty MatchCache; maxEntries is ignored.

@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -82,9 +83,10 @@ func FromPrimitives(prims ...*Primitive) (*Library, error) {
 	return lib, nil
 }
 
-// Primitives returns the primitives in library order. The slice is the
-// library's own: callers must not modify it.
-func (l *Library) Primitives() []*Primitive { return l.prims }
+// Primitives returns the primitives in library order, as a new slice:
+// reordering or truncating it leaves the library unchanged. The
+// primitives themselves are shared and must not be modified.
+func (l *Library) Primitives() []*Primitive { return slices.Clone(l.prims) }
 
 // Len returns the number of primitives.
 func (l *Library) Len() int { return len(l.prims) }

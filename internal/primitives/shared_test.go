@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +62,15 @@ func TestFromPrimitivesLeavesDefaultUntouched(t *testing.T) {
 		t.Fatalf("sub-library order: last is %s, want %s", sub.Primitives()[3].Name, prims[0].Name)
 	}
 	assertSameLibrary(t, def, primitives.BuildDefault())
+}
+
+// Primitives hands out a copy of the library's order: a caller that
+// reorders or truncates it leaves the shared default as built.
+func TestPrimitivesReturnsACopy(t *testing.T) {
+	prims := primitives.MustDefault().Primitives()
+	slices.Reverse(prims)
+	_ = append(prims[:2], prims[5])
+	assertSameLibrary(t, primitives.MustDefault(), primitives.BuildDefault())
 }
 
 // Solves and decodes that fall back on the shared default run at the same

@@ -23,7 +23,7 @@ trajectory="BENCH_trajectory.json"
 count="${BENCH_COUNT:-3}"
 
 raw=$(go test -run '^$' \
-    -bench 'BenchmarkSolverParallelism|BenchmarkFig6_AESDecomposition|BenchmarkTableAES_Mesh|BenchmarkSweepUniformMesh|BenchmarkFrontierAES' \
+    -bench 'BenchmarkSolverParallelism|BenchmarkFig6_AESDecomposition|BenchmarkFig6_AESEnergy|BenchmarkTableAES_Mesh|BenchmarkSweepUniformMesh|BenchmarkFrontierAES' \
     -benchmem -benchtime "$benchtime" -count "$count" .)
 
 # Figure 4b at the two largest sizes: 30- and 40-node Pajek-style random
