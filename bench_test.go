@@ -191,6 +191,37 @@ func BenchmarkTableAES_Custom(b *testing.B) {
 	}
 }
 
+// BenchmarkTableAES_Compare runs both sides of the Section 5.2
+// comparison as the end of a synth-cold benchmark pass does: 10 blocks on
+// a freshly built customized network, then 10 on a fresh 4x4 mesh.
+func BenchmarkTableAES_Compare(b *testing.B) {
+	placement := GridPlacement(16, 1, 1, 0.2)
+	res, err := Synthesize(AESACG(0.1), Options{
+		Mode: CostLinks, Placement: placement, Timeout: 60 * time.Second,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		custom, err := res.NewNetwork(aesNetConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := RunAES(custom, "custom", 10, Tech180); err != nil {
+			b.Fatal(err)
+		}
+		mesh, _, err := MeshNetwork(4, 4, placement, aesNetConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := RunAES(mesh, "mesh", 10, Tech180); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSweepUniformMesh times one three-point saturation sweep of
 // the 4x4 evaluation mesh under uniform traffic (short windows),
 // including the mesh's route compile: the per-characterization cost of

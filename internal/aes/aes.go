@@ -73,9 +73,6 @@ func gmul(a, b byte) byte {
 // node logic).
 func SBox(x byte) byte { return sbox[x] }
 
-// GMul exposes GF(2^8) multiplication for the distributed MixColumns.
-func GMul(a, b byte) byte { return gmul(a, b) }
-
 // KeySchedule holds the 11 round keys as raw 16-byte blocks in FIPS order
 // (round key r, byte i applies to state byte s[i%4][i/4]).
 type KeySchedule [Rounds + 1][BlockBytes]byte
@@ -114,7 +111,7 @@ func ExpandKey(key []byte) (KeySchedule, error) {
 
 // RoundKeyByte returns round key byte for state position (row, col): FIPS
 // stores round keys column-major.
-func (ks KeySchedule) RoundKeyByte(round, row, col int) byte {
+func (ks *KeySchedule) RoundKeyByte(round, row, col int) byte {
 	return ks[round][4*col+row]
 }
 

@@ -87,10 +87,10 @@ func TestSBoxKnownValues(t *testing.T) {
 
 func TestGMulKnownValues(t *testing.T) {
 	// FIPS-197 Section 4.2 example: {57} x {13} = {fe}.
-	if got := GMul(0x57, 0x13); got != 0xfe {
-		t.Fatalf("GMul(0x57,0x13) = %#x, want 0xfe", got)
+	if got := gmul(0x57, 0x13); got != 0xfe {
+		t.Fatalf("gmul(0x57,0x13) = %#x, want 0xfe", got)
 	}
-	if GMul(0x57, 0x01) != 0x57 || GMul(0, 0xab) != 0 {
+	if gmul(0x57, 0x01) != 0x57 || gmul(0, 0xab) != 0 {
 		t.Fatal("identity/zero laws broken")
 	}
 }

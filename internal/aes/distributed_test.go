@@ -3,6 +3,7 @@ package aes
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,5 +188,60 @@ func TestDistributedValidation(t *testing.T) {
 	bad.MaxCycles = 0
 	if _, err := EncryptDistributed(net, ks, [][]byte{make([]byte, 16)}, bad); err == nil {
 		t.Fatal("bad config accepted")
+	}
+}
+
+func TestDistributedMaxCyclesIsPerBlock(t *testing.T) {
+	// The guard bounds each block from its own start cycle, so a bound
+	// above one block's length holds for any number of blocks even
+	// though the run as a whole takes longer.
+	key := []byte("0123456789abcdef")
+	ks, _ := ExpandKey(key)
+	rng := rand.New(rand.NewSource(7))
+	blocks := make([][]byte, 3)
+	for i := range blocks {
+		blocks[i] = make([]byte, BlockBytes)
+		rng.Read(blocks[i])
+	}
+	cfg := DistConfig{ComputeCycles: 2, MaxCycles: 300}
+	res, err := EncryptDistributed(meshNetwork(t), ks, blocks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalCycles <= cfg.MaxCycles || res.CyclesPerBlock > float64(cfg.MaxCycles) {
+		t.Fatalf("run took %d cycles (%.1f per block): want more than %d in all, at most %d per block",
+			res.TotalCycles, res.CyclesPerBlock, cfg.MaxCycles, cfg.MaxCycles)
+	}
+	for i, b := range blocks {
+		if want := referenceCiphertext(t, key, b); !bytes.Equal(res.Ciphertexts[i], want) {
+			t.Fatalf("block %d: ct = %x, want %x", i, res.Ciphertexts[i], want)
+		}
+	}
+}
+
+func TestDistributedDeadlockGuard(t *testing.T) {
+	// A bound below one block's length still stops the run.
+	ks, _ := ExpandKey(make([]byte, KeyBytes))
+	cfg := DistConfig{ComputeCycles: 2, MaxCycles: 50}
+	_, err := EncryptDistributed(meshNetwork(t), ks, [][]byte{make([]byte, BlockBytes)}, cfg)
+	if err == nil || !strings.Contains(err.Error(), "possible deadlock") {
+		t.Fatalf("err = %v, want the deadlock error", err)
+	}
+}
+
+func TestMixRowMatchesGMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		var a [4]byte
+		rng.Read(a[:])
+		for r := 0; r < 4; r++ {
+			var want byte
+			for j := 0; j < 4; j++ {
+				want ^= gmul(MixColumnCoeff(r, j), a[j])
+			}
+			if got := mixRow(a, r); got != want {
+				t.Fatalf("mixRow(%x, %d) = %#x, want %#x", a, r, got, want)
+			}
+		}
 	}
 }

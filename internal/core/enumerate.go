@@ -274,7 +274,7 @@ func (w *worker) capped(l *coverList) int {
 func (w *worker) candidates(primIdx int, l *coverList) []candidate {
 	cands := make([]candidate, w.capped(l))
 	for j := range cands {
-		cands[j] = w.candidateOf(primIdx, l, j, candRank(primIdx, w.sh.facg, l.src.cover(l.idx[j])))
+		cands[j] = w.candidateOf(primIdx, l, j, candRank(primIdx, l.src.cover(l.idx[j])))
 	}
 	return cands
 }

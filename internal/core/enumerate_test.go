@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/energy"
@@ -58,6 +60,16 @@ func refCoverKey(covered [][2]graph.NodeID) string {
 	b := make([]byte, 0, len(covered)*4)
 	for _, k := range covered {
 		b = append(b, byte(k[0]>>8), byte(k[0]), byte(k[1]>>8), byte(k[1]))
+	}
+	return string(b)
+}
+
+// refRank is the reference candidate rank: the library position, then
+// each covered edge id, as 4-byte big-endian words.
+func refRank(primIdx int, ids []int32) string {
+	b := binary.BigEndian.AppendUint32(nil, uint32(primIdx))
+	for _, e := range ids {
+		b = binary.BigEndian.AppendUint32(b, uint32(e))
 	}
 	return string(b)
 }
@@ -213,8 +225,10 @@ func compareCandidates(t *testing.T, where string, sh *shared, primIdx int, got 
 			t.Fatalf("%s cand %d: covered %v, reference %v", where, i, covered, r.covered)
 		case !slices.Equal(g.coveredIDs, r.ids):
 			t.Fatalf("%s cand %d: ids %v, reference %v", where, i, g.coveredIDs, r.ids)
-		case g.rank != string([]byte{byte(primIdx >> 8), byte(primIdx)})+refCoverKey(r.covered):
-			t.Fatalf("%s cand %d: rank differs from the reference cover key", where, i)
+		case g.rank != refRank(primIdx, r.ids):
+			t.Fatalf("%s cand %d: rank differs from the reference key", where, i)
+		case i > 0 && strings.Compare(got[i-1].rank, g.rank) != strings.Compare(refCoverKey(want[i-1].covered), refCoverKey(r.covered)):
+			t.Fatalf("%s cand %d: ranks order unlike the covered (From, To) pairs", where, i)
 		case math.Float64bits(g.match.Cost) != math.Float64bits(r.match.Cost):
 			t.Fatalf("%s cand %d: cost %v, reference %v", where, i, g.match.Cost, r.match.Cost)
 		case math.Float64bits(g.wHops) != math.Float64bits(r.wHops),

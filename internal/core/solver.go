@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -355,7 +356,7 @@ func (w *worker) dfs(parent []coverList, mask graph.EdgeMask, live int, matches 
 	// Enumeration does not depend on the incumbent, so the tree is the same
 	// as when each primitive was enumerated just before its expansion.
 	minRank := ranks[len(ranks)-1]
-	minPrim := int(minRank[0])<<8 | int(minRank[1])
+	minPrim := rankPrim(minRank)
 	lists := w.level(len(matches))
 	for primIdx := minPrim; primIdx < len(lists); primIdx++ {
 		w.enumerate(primIdx, mask, live, &parent[primIdx], &lists[primIdx])
@@ -367,7 +368,7 @@ func (w *worker) dfs(parent []coverList, mask graph.EdgeMask, live int, matches 
 			if w.stopped() {
 				return
 			}
-			rank := candRank(primIdx, w.sh.facg, l.src.cover(l.idx[j]))
+			rank := candRank(primIdx, l.src.cover(l.idx[j]))
 			if rank <= minRank {
 				continue
 			}
@@ -631,16 +632,21 @@ func (c *MatchCache) Counters() (hits, misses uint64) {
 }
 
 // candRank builds the canonical expansion rank of a candidate: library
-// position then the (From, To) NodeIDs of its covered edges in ascending
-// edge-id — that is (From, To) — order. Disjoint matches always differ in
-// covered edges, so ranks are unique within a decomposition.
-func candRank(primIdx int, facg *graph.Frozen, ids []int32) string {
-	b := make([]byte, 2, 2+len(ids)*4)
-	b[0], b[1] = byte(primIdx>>8), byte(primIdx)
-	for _, e := range ids {
-		from, to := facg.EdgeEndpoints(int(e))
-		u, v := facg.IDOf(int(from)), facg.IDOf(int(to))
-		b = append(b, byte(u>>8), byte(u), byte(v>>8), byte(v))
+// position then the ids of its covered edges, ascending, each a 4-byte
+// big-endian word, so byte order is numeric order. Frozen edge ids ascend
+// by (From, To) NodeID, so ranks order as the covered edges' endpoint
+// pairs do at every NodeID. Disjoint matches always differ in covered
+// edges, so ranks are unique within a decomposition.
+func candRank(primIdx int, ids []int32) string {
+	b := make([]byte, 4*(1+len(ids)))
+	binary.BigEndian.PutUint32(b, uint32(primIdx))
+	for i, e := range ids {
+		binary.BigEndian.PutUint32(b[4*(i+1):], uint32(e))
 	}
 	return string(b)
+}
+
+// rankPrim decodes the library position at the head of a candRank.
+func rankPrim(rank string) int {
+	return int(rank[0])<<24 | int(rank[1])<<16 | int(rank[2])<<8 | int(rank[3])
 }

@@ -6,8 +6,9 @@
 # the document stays addressable by content key, and a local
 # `nocsynth -frontier` run of the same problem produces the exact same
 # bytes. A validated submission ("validate": true, per-point zero-load
-# simulation) and `experiments -table floorplan` are compared byte for
-# byte against their goldens in scripts/golden. Needs only bash, curl and
+# simulation), `experiments -table floorplan` and `experiments -table aes`
+# (the Section 5.2 co-simulation) are compared byte for byte against their
+# goldens in scripts/golden. Needs only bash, curl and
 # the go toolchain.
 #
 # Usage: scripts/smoke_frontier.sh [PORT]
@@ -136,4 +137,12 @@ cmp -s scripts/golden/table_floorplan.txt "$work/table_floorplan.txt" || {
     exit 1
 }
 
-echo "smoke_frontier: OK ($points non-dominated points, cache byte-identity, key fetch, local/service identity, validated and floorplan goldens)"
+echo "== experiments -table aes must match its golden =="
+"$work/experiments" -table aes > "$work/table_aes.txt"
+cmp -s scripts/golden/table_aes.txt "$work/table_aes.txt" || {
+    echo "smoke_frontier: AES table differs from scripts/golden/table_aes.txt" >&2
+    diff scripts/golden/table_aes.txt "$work/table_aes.txt" >&2 || true
+    exit 1
+}
+
+echo "smoke_frontier: OK ($points non-dominated points, cache byte-identity, key fetch, local/service identity, validated, floorplan and AES table goldens)"
