@@ -101,3 +101,24 @@ func TestRunAESAllocs(t *testing.T) {
 		}
 	}
 }
+
+// A second RunAES on a network that already ran one reports the same
+// figures: cycles, latency and energy are counted from the run's start,
+// not from the network's cycle 0.
+func TestRunAESRepeatedOnOneNetwork(t *testing.T) {
+	for name, mk := range aesPinNetworks(t) {
+		net := mk()
+		first, err := RunAES(net, "first", 2, Tech180)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		second, err := RunAES(net, "second", 2, Tech180)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		second.Name = first.Name
+		if *first != *second {
+			t.Errorf("%s: second run %+v, first %+v", name, *second, *first)
+		}
+	}
+}

@@ -324,7 +324,7 @@ func BenchmarkSweepReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Reset()
-		if err := net.Replay(trace, 100_000); err != nil {
+		if err := net.ReplayContext(context.Background(), trace, 100_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -632,7 +632,7 @@ func benchStepBusy(b *testing.B, net *noc.Network, trace []noc.TrafficEvent) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			net.Reset()
-			if err := net.Replay(trace, 100_000); err != nil {
+			if err := net.ReplayContext(context.Background(), trace, 100_000); err != nil {
 				b.Fatal(err)
 			}
 		}

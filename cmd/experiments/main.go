@@ -55,6 +55,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -529,7 +530,7 @@ type scenario struct {
 	Seed   int64  `json:"seed"`
 	Mode   string `json:"mode"` // links | energy
 	acg    *graph.Graph
-	opts   core.Options
+	opts   repro.Options
 }
 
 // batchResult is the per-scenario JSON record the batch runner emits.
@@ -560,9 +561,9 @@ type batchResult struct {
 // 4b Pajek-style range, the scale-free Barabási–Albert family, the planted
 // Figure 5 benchmark and the AES ACG in both cost modes.
 func batchScenarios(seeds, parallel int) []scenario {
-	baseOpts := func(timeout time.Duration) core.Options {
-		return core.Options{
-			Mode:        core.CostLinks,
+	baseOpts := func(timeout time.Duration) repro.Options {
+		return repro.Options{
+			Mode:        repro.CostLinks,
 			Timeout:     timeout,
 			Parallelism: parallel,
 		}
@@ -825,54 +826,50 @@ func runBatch(ctx context.Context, out string, workers, parallel, seeds int, ser
 
 func runScenario(ctx context.Context, sc scenario, sweepPatterns []string) batchResult {
 	r := batchResult{scenario: sc}
-	placement := floorplan.Grid(sc.acg.NodeCount(), 1, 1, 0.2)
+	opts := sc.opts
+	opts.Placement = floorplan.Grid(sc.acg.NodeCount(), 1, 1, 0.2)
 	start := time.Now()
-	res, err := core.SolveContext(ctx, core.Problem{
-		ACG:       sc.acg,
-		Library:   primitives.MustDefault(),
-		Placement: placement,
-		Energy:    energy.Tech180,
-		Options:   sc.opts,
-	})
+	res, err := repro.SynthesizeContext(ctx, sc.acg, opts)
 	r.ElapsedSec = time.Since(start).Seconds()
-	if err != nil {
+	var infeasible *repro.InfeasibleError
+	switch {
+	case errors.As(err, &infeasible):
+		r.setStats(infeasible.Stats)
+	case res == nil:
 		r.Error = err.Error()
-		return r
-	}
-	r.NodesExplored = res.Stats.NodesExplored
-	r.BranchesPruned = res.Stats.BranchesPruned
-	r.SolverWorkers = res.Stats.Workers
-	r.TimedOut = res.Stats.TimedOut
-	r.Canceled = res.Stats.Canceled
-	if res.Best != nil {
-		r.Feasible = true
-		r.Cost = res.Best.Cost
-		r.Matches = len(res.Best.Matches)
-		r.RemainderEdges = res.Best.Remainder.EdgeCount()
-		if len(sweepPatterns) > 0 {
-			r.Sweeps = sweepSolvedScenario(ctx, sc, res.Best, placement, sweepPatterns)
-		}
+	default:
+		r.setResult(ctx, res, err, sweepPatterns)
 	}
 	return r
 }
 
-// sweepSolvedScenario glues the solver's decomposition into its
-// customized architecture (the same composition SynthesizeContext
-// performs) and stress-characterizes it under the requested patterns.
-func sweepSolvedScenario(ctx context.Context, sc scenario, best *core.Decomposition, placement *floorplan.Placement, patterns []string) []archSweep {
-	arch, err := topology.FromDecomposition(sc.acg.Name()+"-custom", sc.acg, best, placement)
-	if err != nil {
-		return []archSweep{{Error: err.Error()}}
+// setResult fills the row from a synthesis result and, when patterns are
+// given, stress-characterizes the synthesized architecture under them.
+// A decomposition whose architecture could not be routed (routeErr) is
+// still a solved row; its sweeps report the routing error.
+func (r *batchResult) setResult(ctx context.Context, res *repro.Result, routeErr error, sweepPatterns []string) {
+	r.Feasible = true
+	r.Cost = res.Decomposition.Cost
+	r.Matches = len(res.Decomposition.Matches)
+	if res.Decomposition.Remainder != nil {
+		r.RemainderEdges = res.Decomposition.Remainder.EdgeCount()
 	}
-	table, err := routing.Build(arch)
-	if err != nil {
-		return []archSweep{{Error: err.Error()}}
+	r.setStats(res.Stats)
+	switch {
+	case len(sweepPatterns) == 0:
+	case routeErr != nil:
+		r.Sweeps = []archSweep{{Error: routeErr.Error()}}
+	default:
+		r.Sweeps = sweepArchitecture(ctx, res.Architecture, res.Routing, res.VCs, sweepPatterns, r.Seed)
 	}
-	vcs, err := routing.AssignVirtualChannels(table, arch, nil)
-	if err != nil {
-		return []archSweep{{Error: err.Error()}}
-	}
-	return sweepArchitecture(ctx, arch, table, vcs, patterns, sc.Seed)
+}
+
+func (r *batchResult) setStats(st core.Stats) {
+	r.NodesExplored = st.NodesExplored
+	r.BranchesPruned = st.BranchesPruned
+	r.SolverWorkers = st.Workers
+	r.TimedOut = st.TimedOut
+	r.Canceled = st.Canceled
 }
 
 // runScenarioRemote submits one scenario to a nocserve daemon and blocks
@@ -928,22 +925,9 @@ func runScenarioRemote(ctx context.Context, serveURL string, sc scenario, sweepP
 		r.Error = err.Error()
 		return r
 	}
-	r.Feasible = true
-	r.Cost = res.Decomposition.Cost
-	r.Matches = len(res.Decomposition.Matches)
-	if res.Decomposition.Remainder != nil {
-		r.RemainderEdges = res.Decomposition.Remainder.EdgeCount()
-	}
-	r.NodesExplored = res.Stats.NodesExplored
-	r.BranchesPruned = res.Stats.BranchesPruned
-	r.SolverWorkers = res.Stats.Workers
-	r.TimedOut = res.Stats.TimedOut
-	r.Canceled = res.Stats.Canceled
 	// The decoded result carries the daemon's architecture, routing table
 	// and VC assignment — sweep the served topology directly.
-	if len(sweepPatterns) > 0 {
-		r.Sweeps = sweepArchitecture(ctx, res.Architecture, res.Routing, res.VCs, sweepPatterns, sc.Seed)
-	}
+	r.setResult(ctx, res, nil, sweepPatterns)
 	return r
 }
 

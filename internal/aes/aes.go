@@ -24,9 +24,9 @@ const KeyBytes = 16
 // Rounds is the number of AES-128 rounds.
 const Rounds = 10
 
-// sbox and invSbox are generated at init from the GF(2^8) inverse plus the
-// affine transform, avoiding 256 hand-typed constants.
-var sbox, invSbox [256]byte
+// sbox is generated at init from the GF(2^8) inverse plus the affine
+// transform, avoiding 256 hand-typed constants.
+var sbox [256]byte
 
 func init() {
 	// Multiplicative inverses via brute force (fine at init time).
@@ -46,7 +46,6 @@ func init() {
 		// Affine transform: b ^ rot(b,1) ^ rot(b,2) ^ rot(b,3) ^ rot(b,4) ^ 0x63.
 		r := b ^ rotl8(b, 1) ^ rotl8(b, 2) ^ rotl8(b, 3) ^ rotl8(b, 4) ^ 0x63
 		sbox[i] = r
-		invSbox[r] = byte(i)
 	}
 }
 

@@ -137,12 +137,6 @@ func TestNodeIDLayoutMatchesPaper(t *testing.T) {
 			t.Fatalf("column 0 ids = %v, want %v", ids, want)
 		}
 	}
-	for id := 1; id <= 16; id++ {
-		r, c := NodePosition(graph.NodeID(id))
-		if NodeID(r, c) != graph.NodeID(id) {
-			t.Fatalf("NodePosition/NodeID mismatch for %d", id)
-		}
-	}
 }
 
 func TestACGStructureMatchesFigure6a(t *testing.T) {

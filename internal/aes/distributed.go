@@ -17,12 +17,6 @@ func NodeID(row, col int) graph.NodeID {
 	return graph.NodeID(4*row + col + 1)
 }
 
-// NodePosition inverts NodeID.
-func NodePosition(id graph.NodeID) (row, col int) {
-	i := int(id) - 1
-	return i / 4, i % 4
-}
-
 // ACG builds the Application Characterization Graph of the distributed
 // AES (paper Figure 6a). Edge volumes are bits per encrypted block derived
 // from the round structure: ShiftRows moves one byte per round along rows
@@ -153,7 +147,8 @@ type DistResult struct {
 	// Ciphertexts are the encrypted blocks, bit-identical to the
 	// reference cipher.
 	Ciphertexts [][]byte
-	// TotalCycles is the simulated time for all blocks (sequential).
+	// TotalCycles is the simulated time for all blocks (sequential),
+	// counted from the cycle the run started at.
 	TotalCycles int64
 	// CyclesPerBlock is TotalCycles / number of blocks — the paper's
 	// "Delta cycles/block".
@@ -205,6 +200,7 @@ func EncryptDistributed(net *noc.Network, ks KeySchedule, blocks [][]byte, cfg D
 		}
 	}
 
+	start := net.Cycle()
 	d := &driver{net: net, ks: &ks, cfg: cfg, slab: make([]message, 0, msgsPerBlock)}
 	for i := range d.nodes {
 		n := &d.nodes[i]
@@ -228,8 +224,8 @@ func EncryptDistributed(net *noc.Network, ks KeySchedule, blocks [][]byte, cfg D
 		result.Ciphertexts[b] = ct
 	}
 
-	result.TotalCycles = net.Cycle()
-	result.CyclesPerBlock = float64(net.Cycle()) / float64(len(blocks))
+	result.TotalCycles = net.Cycle() - start
+	result.CyclesPerBlock = float64(result.TotalCycles) / float64(len(blocks))
 	result.Stats = net.Stats()
 	return &result, nil
 }

@@ -318,11 +318,11 @@ func loseEdges(rng *rand.Rand, mask graph.EdgeMask, lists []coverList) graph.Edg
 			return next
 		}
 	}
-	mask.ForEach(func(e int) {
-		if rng.Intn(5) == 0 {
+	for e := 0; e < 64*len(mask); e++ {
+		if mask.Has(e) && rng.Intn(5) == 0 {
 			next.Clear(e)
 		}
-	})
+	}
 	return next
 }
 

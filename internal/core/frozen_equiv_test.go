@@ -14,9 +14,9 @@ import (
 )
 
 // The solver must be representation-invariant: pushing the ACG through
-// Freeze().Thaw() (the CSR round trip) must produce a byte-identical
-// decomposition listing, cost and statistics-relevant cover, across seeded
-// random graphs and both worker counts.
+// Freeze().Materialize(nil) (the CSR round trip) must produce a
+// byte-identical decomposition listing, cost and statistics-relevant
+// cover, across seeded random graphs and both worker counts.
 func TestSolverFrozenRoundTripIdentical(t *testing.T) {
 	lib := primitives.MustDefault()
 	for seed := int64(0); seed < 5; seed++ {
@@ -30,7 +30,7 @@ func TestSolverFrozenRoundTripIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			thawed, err := Solve(Problem{ACG: acg.Freeze().Thaw(), Library: lib, Energy: energy.Tech180, Options: opts})
+			thawed, err := Solve(Problem{ACG: acg.Freeze().Materialize(nil), Library: lib, Energy: energy.Tech180, Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}

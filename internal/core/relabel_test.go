@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -114,30 +115,114 @@ func TestSolveInvariantUnderIncreasingRelabel(t *testing.T) {
 		for _, rl := range relabelings {
 			g, p := relabel(in.g, in.p, rl.f)
 			got := solveWith(t, g, p, in.mode, 1)
-			where := fmt.Sprintf("%s relabeled %s", in.name, rl.name)
-			if math.Float64bits(got.Cost) != math.Float64bits(base.Cost) || len(got.Matches) != len(base.Matches) {
-				t.Errorf("%s: cost %v with %d matches, want %v with %d",
-					where, got.Cost, len(got.Matches), base.Cost, len(base.Matches))
-				continue
-			}
-			for i, m := range base.Matches {
-				want := m.CoveredEdges()
-				for j := range want {
-					want[j] = [2]graph.NodeID{rl.f(want[j][0]), rl.f(want[j][1])}
+			checkRelabeled(t, fmt.Sprintf("%s relabeled %s", in.name, rl.name), base, got, rl.f)
+		}
+	}
+}
+
+// checkRelabeled asserts that got is base with every NodeID mapped by f:
+// the same cost bits, the same primitives over the mapped edges, and the
+// mapped remainder.
+func checkRelabeled(t *testing.T, where string, base, got *Decomposition, f func(graph.NodeID) graph.NodeID) {
+	t.Helper()
+	if math.Float64bits(got.Cost) != math.Float64bits(base.Cost) || len(got.Matches) != len(base.Matches) {
+		t.Errorf("%s: cost %v with %d matches, want %v with %d",
+			where, got.Cost, len(got.Matches), base.Cost, len(base.Matches))
+		return
+	}
+	for i, m := range base.Matches {
+		want := m.CoveredEdges()
+		for j := range want {
+			want[j] = [2]graph.NodeID{f(want[j][0]), f(want[j][1])}
+		}
+		if got.Matches[i].Primitive.Name != m.Primitive.Name || !slices.Equal(got.Matches[i].CoveredEdges(), want) {
+			t.Errorf("%s: match %d is %s over %v, want %s over %v", where, i,
+				got.Matches[i].Primitive.Name, got.Matches[i].CoveredEdges(), m.Primitive.Name, want)
+		}
+	}
+	var want []graph.Edge
+	for _, e := range base.Remainder.Edges() {
+		e.From, e.To = f(e.From), f(e.To)
+		want = append(want, e)
+	}
+	if !slices.Equal(got.Remainder.Edges(), want) {
+		t.Errorf("%s: remainder %v, want %v", where, got.Remainder.Edges(), want)
+	}
+}
+
+// FuzzSolveRelabel decodes the graph of a synthesize-request body (the
+// POST /v1/synthesize wire form) and, for graphs of at most 8 nodes,
+// solves it serially in both cost modes, then again after strictly
+// increasing relabelings that straddle NodeID 65 536 or go negative. The
+// relabeled solve must return the relabeled decomposition with the same
+// cost bits.
+func FuzzSolveRelabel(f *testing.F) {
+	twoK4 := graph.New("two-k4")
+	for _, base := range []graph.NodeID{0, 65536} {
+		for u := base; u < base+4; u++ {
+			for v := base; v < base+4; v++ {
+				if u != v {
+					twoK4.AddEdge(graph.Edge{From: u, To: v, Volume: 64})
 				}
-				if got.Matches[i].Primitive.Name != m.Primitive.Name || !slices.Equal(got.Matches[i].CoveredEdges(), want) {
-					t.Errorf("%s: match %d is %s over %v, want %s over %v", where, i,
-						got.Matches[i].Primitive.Name, got.Matches[i].CoveredEdges(), m.Primitive.Name, want)
-				}
-			}
-			var want []graph.Edge
-			for _, e := range base.Remainder.Edges() {
-				e.From, e.To = rl.f(e.From), rl.f(e.To)
-				want = append(want, e)
-			}
-			if !slices.Equal(got.Remainder.Edges(), want) {
-				t.Errorf("%s: remainder %v, want %v", where, got.Remainder.Edges(), want)
 			}
 		}
 	}
+	aesColumn := graph.New("aes-column")
+	col := []graph.NodeID{1, 5, 9, 13}
+	for _, e := range aesACG(8, 1).Edges() {
+		if slices.Contains(col, e.From) && slices.Contains(col, e.To) {
+			aesColumn.AddEdge(e)
+		}
+	}
+	for _, g := range []*graph.Graph{aesColumn, randgraph.PaperFig5(16), twoK4} {
+		body, err := json.Marshal(map[string]any{"graph": g, "options": map[string]string{"mode": "links"}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body, uint16(1))
+		f.Add(body, uint16(40000))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, stride uint16) {
+		var req struct {
+			Graph *graph.Graph `json:"graph"`
+		}
+		if json.Unmarshal(body, &req) != nil || req.Graph == nil || req.Graph.NodeCount() == 0 || req.Graph.NodeCount() > 8 {
+			return
+		}
+		g := req.Graph
+		solve := func(acg *graph.Graph, mode CostMode) *Decomposition {
+			res, err := Solve(Problem{ACG: acg, Library: primitives.MustDefault(), Energy: energy.Tech180, Options: Options{Mode: mode, Parallelism: 1}})
+			if err != nil {
+				return nil
+			}
+			return res.Best
+		}
+		modes := []CostMode{CostLinks, CostEnergy}
+		var base [2]*Decomposition
+		for i, mode := range modes {
+			if base[i] = solve(g, mode); base[i] == nil {
+				return
+			}
+		}
+		ids := g.Nodes()
+		step := graph.NodeID(max(stride, 1))
+		n := graph.NodeID(len(ids))
+		// The node of rank r maps to origin + r*step: strictly increasing
+		// whatever the decoded IDs are.
+		for _, origin := range []graph.NodeID{65536 - step*(n/2), -step * (n + 1)} {
+			rl := func(id graph.NodeID) graph.NodeID {
+				r, _ := slices.BinarySearch(ids, id)
+				return origin + graph.NodeID(r)*step
+			}
+			h, _ := relabel(g, nil, rl)
+			for i, mode := range modes {
+				got := solve(h, mode)
+				if got == nil {
+					t.Fatalf("mode %v origin %d step %d: relabeled solve failed", mode, origin, step)
+				}
+				checkRelabeled(t, fmt.Sprintf("mode %v origin %d step %d", mode, origin, step), base[i], got, rl)
+			}
+		}
+	})
 }

@@ -139,19 +139,6 @@ func (m Model) BitEnergy(linkLengths []float64) float64 {
 	return e
 }
 
-// BitEnergyUniform is BitEnergy for a route of hops links all of the same
-// length, the common case on a regular mesh.
-func (m Model) BitEnergyUniform(hops int, linkLengthMM float64) float64 {
-	if hops <= 0 {
-		return 0
-	}
-	lengths := make([]float64, hops)
-	for i := range lengths {
-		lengths[i] = linkLengthMM
-	}
-	return m.BitEnergy(lengths)
-}
-
 // TransferEnergy returns the energy in picojoules to move volumeBits along
 // a route with the given link lengths.
 func (m Model) TransferEnergy(volumeBits float64, linkLengths []float64) float64 {

@@ -59,18 +59,6 @@ func TestBitEnergyEmptyRoute(t *testing.T) {
 	}
 }
 
-func TestBitEnergyUniformMatchesExplicit(t *testing.T) {
-	m := Tech130
-	got := m.BitEnergyUniform(4, 1.5)
-	want := m.BitEnergy([]float64{1.5, 1.5, 1.5, 1.5})
-	if !almostEqual(got, want) {
-		t.Fatalf("uniform %g != explicit %g", got, want)
-	}
-	if m.BitEnergyUniform(0, 1) != 0 {
-		t.Fatal("0-hop uniform should be 0")
-	}
-}
-
 func TestTransferEnergyScalesWithVolume(t *testing.T) {
 	m := Tech100
 	one := m.TransferEnergy(1, []float64{2})

@@ -52,7 +52,8 @@ func DefaultDistConfig() DistConfig {
 type DistResult struct {
 	// Output is the transform result, index k at position k.
 	Output []complex128
-	// TotalCycles is the simulated duration.
+	// TotalCycles is the simulated duration, counted from the cycle the
+	// transform started at.
 	TotalCycles int64
 	// Stats snapshots network activity.
 	Stats noc.Stats
@@ -92,6 +93,7 @@ func TransformDistributed(net *noc.Network, samples []complex128, cfg DistConfig
 		return nil, fmt.Errorf("fft: bad config %+v", cfg)
 	}
 	logN := bits.TrailingZeros(uint(n))
+	start := net.Cycle()
 
 	nodes := make([]*fftNode, n)
 	for i := 0; i < n; i++ {
@@ -100,7 +102,7 @@ func TransformDistributed(net *noc.Network, samples []complex128, cfg DistConfig
 			id:      graph.NodeID(i + 1),
 			value:   samples[bitrev(i, logN)], // input permutation is local
 			stage:   1,
-			readyAt: net.Cycle() + int64(cfg.ComputeCycles),
+			readyAt: start + int64(cfg.ComputeCycles),
 		}
 	}
 
@@ -112,7 +114,7 @@ func TransformDistributed(net *noc.Network, samples []complex128, cfg DistConfig
 	})
 
 	for {
-		if net.Cycle() > cfg.MaxCycles {
+		if net.Cycle()-start > cfg.MaxCycles {
 			return nil, fmt.Errorf("fft: run exceeded %d cycles (possible deadlock)", cfg.MaxCycles)
 		}
 		done := 0
@@ -137,7 +139,7 @@ func TransformDistributed(net *noc.Network, samples []complex128, cfg DistConfig
 	}
 	return &DistResult{
 		Output:      out,
-		TotalCycles: net.Cycle(),
+		TotalCycles: net.Cycle() - start,
 		Stats:       net.Stats(),
 	}, nil
 }

@@ -127,6 +127,25 @@ func TestDistributedOnMeshMatchesReferenceFFT(t *testing.T) {
 	}
 }
 
+// MaxCycles bounds each transform's own run: a second 59-cycle transform
+// on a mesh that already ran one fits a 69-cycle budget and reports its
+// own duration.
+func TestDistributedRepeatedOnOneNetwork(t *testing.T) {
+	net := meshNet16(t)
+	cfg := DefaultDistConfig()
+	cfg.MaxCycles = 69
+	x := randomSamples(16, 7)
+	for run := 1; run <= 2; run++ {
+		res, err := TransformDistributed(net, x, cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if res.TotalCycles != 59 {
+			t.Fatalf("run %d: %d cycles, want 59", run, res.TotalCycles)
+		}
+	}
+}
+
 func TestDistributedOnCustomTopologyMatchesFFT(t *testing.T) {
 	x := randomSamples(16, 11)
 	want, _ := Transform(x)

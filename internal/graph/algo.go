@@ -27,11 +27,6 @@ func (g *Graph) WeaklyConnected() bool {
 	return len(seen) == g.NodeCount()
 }
 
-// HasDirectedCycle reports whether the graph contains a directed cycle.
-func (g *Graph) HasDirectedCycle() bool {
-	return len(g.FindDirectedCycle()) > 0
-}
-
 // FindDirectedCycle returns one directed cycle as a vertex sequence
 // (first == last is implied, not repeated), or nil if the graph is acyclic.
 // The routing layer uses this on channel-dependency graphs to locate
@@ -81,10 +76,10 @@ func (g *Graph) FindDirectedCycle() []NodeID {
 	return nil
 }
 
-// UndirectedHopDistances returns BFS hop distances ignoring edge direction.
+// undirectedHopDistances returns BFS hop distances ignoring edge direction.
 // This is the metric for the diameter bound of Section 4.3: physical links
 // are bidirectional channels even when the ACG edge was one-way.
-func (g *Graph) UndirectedHopDistances(src NodeID) map[NodeID]int {
+func (g *Graph) undirectedHopDistances(src NodeID) map[NodeID]int {
 	dist := map[NodeID]int{src: 0}
 	queue := []NodeID{src}
 	for len(queue) > 0 {
@@ -108,7 +103,7 @@ func (g *Graph) Diameter() int {
 	}
 	d := 0
 	for _, src := range g.Nodes() {
-		dist := g.UndirectedHopDistances(src)
+		dist := g.undirectedHopDistances(src)
 		if len(dist) != g.NodeCount() {
 			return -1
 		}

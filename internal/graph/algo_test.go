@@ -31,9 +31,6 @@ func TestFindDirectedCycleNone(t *testing.T) {
 	if c := g.FindDirectedCycle(); c != nil {
 		t.Fatalf("found cycle %v in a DAG", c)
 	}
-	if g.HasDirectedCycle() {
-		t.Fatal("HasDirectedCycle true on DAG")
-	}
 }
 
 func TestFindDirectedCycleSimple(t *testing.T) {
@@ -84,7 +81,7 @@ func TestUndirectedHopDistances(t *testing.T) {
 	g := New("t")
 	g.SetEdge(Edge{From: 2, To: 1})
 	g.SetEdge(Edge{From: 2, To: 3})
-	d := g.UndirectedHopDistances(1)
+	d := g.undirectedHopDistances(1)
 	if d[3] != 2 {
 		t.Fatalf("undirected distance 1->3 = %d, want 2", d[3])
 	}

@@ -184,26 +184,6 @@ func (f *Frozen) EdgeIndexBetween(from, to int) (int, bool) {
 	return 0, false
 }
 
-// HasEdgeIdx reports whether the directed edge from->to exists (dense
-// indices).
-func (f *Frozen) HasEdgeIdx(from, to int) bool {
-	_, ok := f.EdgeIndexBetween(from, to)
-	return ok
-}
-
-// Thaw rebuilds a mutable Graph equal (by graph.Equal) to the source of
-// Freeze: same name, vertex set, edge set and annotations.
-func (f *Frozen) Thaw() *Graph {
-	g := New(f.name)
-	for _, id := range f.ids {
-		g.AddNode(id)
-	}
-	for e := 0; e < len(f.outDst); e++ {
-		g.SetEdge(f.EdgeAt(e))
-	}
-	return g
-}
-
 // Materialize rebuilds a mutable Graph holding the full vertex set but only
 // the edges whose ids are set in mask (nil means all). This is how the
 // solver turns a leaf's live-edge bitmask back into the paper's remaining
@@ -267,16 +247,6 @@ func (m EdgeMask) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// ForEach calls fn with every set edge id in ascending order.
-func (m EdgeMask) ForEach(fn func(e int)) {
-	for wi, w := range m {
-		for w != 0 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 // ShortestPathTree runs Dijkstra from the source index over the CSR using

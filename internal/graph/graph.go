@@ -36,11 +36,6 @@ type Edge struct {
 // Key returns the ordered-pair key of the edge.
 func (e Edge) Key() [2]NodeID { return [2]NodeID{e.From, e.To} }
 
-// Reversed returns the edge with endpoints swapped and annotations kept.
-func (e Edge) Reversed() Edge {
-	return Edge{From: e.To, To: e.From, Volume: e.Volume, Bandwidth: e.Bandwidth}
-}
-
 func (e Edge) String() string {
 	return fmt.Sprintf("%d->%d(v=%g,b=%g)", e.From, e.To, e.Volume, e.Bandwidth)
 }
@@ -85,25 +80,6 @@ func (g *Graph) AddNode(id NodeID) {
 func (g *Graph) HasNode(id NodeID) bool {
 	_, ok := g.nodes[id]
 	return ok
-}
-
-// RemoveNode deletes a vertex and all incident edges. It is a no-op if the
-// vertex is absent.
-func (g *Graph) RemoveNode(id NodeID) {
-	if !g.HasNode(id) {
-		return
-	}
-	for to := range g.out[id] {
-		delete(g.in[to], id)
-		g.edges--
-	}
-	for from := range g.in[id] {
-		delete(g.out[from], id)
-		g.edges--
-	}
-	delete(g.out, id)
-	delete(g.in, id)
-	delete(g.nodes, id)
 }
 
 // AddEdge inserts the edge, implicitly adding missing endpoints. If an edge

@@ -76,23 +76,6 @@ func TestRemoveEdge(t *testing.T) {
 	}
 }
 
-func TestRemoveNodeRemovesIncidentEdges(t *testing.T) {
-	g := New("t")
-	g.SetEdge(Edge{From: 1, To: 2})
-	g.SetEdge(Edge{From: 2, To: 3})
-	g.SetEdge(Edge{From: 3, To: 1})
-	g.RemoveNode(2)
-	if g.HasNode(2) {
-		t.Fatal("node 2 still present")
-	}
-	if g.EdgeCount() != 1 {
-		t.Fatalf("EdgeCount = %d, want 1 (only 3->1)", g.EdgeCount())
-	}
-	if !g.HasEdge(3, 1) {
-		t.Fatal("edge 3->1 should remain")
-	}
-}
-
 func TestNodesSorted(t *testing.T) {
 	g := New("t")
 	for _, id := range []NodeID{5, 1, 9, 3} {

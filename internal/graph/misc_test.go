@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestEdgeReversed(t *testing.T) {
-	e := Edge{From: 3, To: 7, Volume: 12, Bandwidth: 4}
-	r := e.Reversed()
-	if r.From != 7 || r.To != 3 || r.Volume != 12 || r.Bandwidth != 4 {
-		t.Fatalf("reversed = %+v", r)
-	}
-	// Double reversal is identity.
-	if r.Reversed() != e {
-		t.Fatal("double reversal not identity")
-	}
-}
-
 func TestEdgeKeyAndString(t *testing.T) {
 	e := Edge{From: 2, To: 9, Volume: 1}
 	if e.Key() != [2]NodeID{2, 9} {
@@ -58,15 +46,6 @@ func TestInOutDegreeConsistency(t *testing.T) {
 	}
 	if sum != g.EdgeCount() {
 		t.Fatalf("degree sum %d != edges %d", sum, g.EdgeCount())
-	}
-}
-
-func TestRemoveNodeMissingIsNoop(t *testing.T) {
-	g := New("t")
-	g.SetEdge(Edge{From: 1, To: 2})
-	g.RemoveNode(99)
-	if g.NodeCount() != 2 || g.EdgeCount() != 1 {
-		t.Fatal("no-op removal changed graph")
 	}
 }
 

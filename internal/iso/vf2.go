@@ -69,23 +69,6 @@ type Options struct {
 // deadline. Matchings found before the cut-off are still returned.
 var ErrDeadline = errors.New("iso: search deadline exceeded")
 
-// Exists reports whether at least one subgraph monomorphism from pattern
-// into target exists.
-func Exists(pattern, target *graph.Graph) bool {
-	ms, _ := FindAll(pattern, target, Options{Limit: 1})
-	return len(ms) > 0
-}
-
-// FindFirst returns the first matching in the deterministic search order,
-// or ok=false if none exists.
-func FindFirst(pattern, target *graph.Graph) (Mapping, bool) {
-	ms, _ := FindAll(pattern, target, Options{Limit: 1})
-	if len(ms) == 0 {
-		return nil, false
-	}
-	return ms[0], true
-}
-
 // FindAll enumerates subgraph monomorphisms from pattern into target, up to
 // opts.Limit. The error is ErrDeadline if the deadline cut the enumeration
 // short, nil otherwise. It freezes both graphs and delegates to

@@ -36,11 +36,11 @@ func validateMonomorphism(t *testing.T, pattern, target *graph.Graph, m Mapping)
 func TestTriangleInK4(t *testing.T) {
 	pattern := graph.DirectedCycle("c3", graph.Range(1, 3), 0, 0)
 	target := graph.CompleteDigraph("k4", graph.Range(1, 4), 0, 0)
-	m, ok := FindFirst(pattern, target)
-	if !ok {
+	ms, _ := FindAll(pattern, target, Options{Limit: 1})
+	if len(ms) == 0 {
 		t.Fatal("no matching found")
 	}
-	validateMonomorphism(t, pattern, target, m)
+	validateMonomorphism(t, pattern, target, ms[0])
 }
 
 func TestCountTriangleMatchesInK4(t *testing.T) {
@@ -64,7 +64,7 @@ func TestCountTriangleMatchesInK4(t *testing.T) {
 func TestNoMatchWhenPatternLarger(t *testing.T) {
 	pattern := graph.CompleteDigraph("k5", graph.Range(1, 5), 0, 0)
 	target := graph.CompleteDigraph("k4", graph.Range(1, 4), 0, 0)
-	if Exists(pattern, target) {
+	if ms, _ := FindAll(pattern, target, Options{Limit: 1}); len(ms) > 0 {
 		t.Fatal("K5 cannot embed in K4")
 	}
 }
@@ -89,7 +89,7 @@ func TestNoMatchWrongDirection(t *testing.T) {
 func TestEmptyPatternNoMatch(t *testing.T) {
 	pattern := graph.New("p")
 	target := graph.CompleteDigraph("k3", graph.Range(1, 3), 0, 0)
-	if Exists(pattern, target) {
+	if ms, _ := FindAll(pattern, target, Options{Limit: 1}); len(ms) > 0 {
 		t.Fatal("empty pattern should not match")
 	}
 }
@@ -110,7 +110,7 @@ func TestPathInPath(t *testing.T) {
 func TestCycleNotInPath(t *testing.T) {
 	pattern := graph.DirectedCycle("c3", graph.Range(1, 3), 0, 0)
 	target := graph.DirectedPath("p6", graph.Range(1, 6), 0, 0)
-	if Exists(pattern, target) {
+	if ms, _ := FindAll(pattern, target, Options{Limit: 1}); len(ms) > 0 {
 		t.Fatal("cycle cannot embed in path")
 	}
 }
@@ -119,7 +119,7 @@ func TestMonomorphismAllowsExtraTargetEdges(t *testing.T) {
 	// Pattern: path 1->2->3. Target: triangle (has extra closing edge).
 	pattern := graph.DirectedPath("p3", graph.Range(1, 3), 0, 0)
 	target := graph.DirectedCycle("c3", graph.Range(1, 3), 0, 0)
-	if !Exists(pattern, target) {
+	if ms, _ := FindAll(pattern, target, Options{Limit: 1}); len(ms) == 0 {
 		t.Fatal("monomorphism should allow extra target edges")
 	}
 }
@@ -188,7 +188,7 @@ func TestDisconnectedPattern(t *testing.T) {
 func TestStarRequiresOutDegree(t *testing.T) {
 	pattern := graph.Star("s", 1, []graph.NodeID{2, 3, 4}, 0, 0)
 	target := graph.DirectedCycle("c5", graph.Range(1, 5), 0, 0)
-	if Exists(pattern, target) {
+	if ms, _ := FindAll(pattern, target, Options{Limit: 1}); len(ms) > 0 {
 		t.Fatal("out-degree-3 star cannot embed in a cycle")
 	}
 }
@@ -200,14 +200,14 @@ func TestGossip4InAESColumn(t *testing.T) {
 	target := graph.CompleteDigraph("col", []graph.NodeID{1, 5, 9, 13}, 0, 0)
 	target.SetEdge(graph.Edge{From: 5, To: 6})
 	target.SetEdge(graph.Edge{From: 6, To: 7})
-	m, ok := FindFirst(pattern, target)
-	if !ok {
+	ms, _ := FindAll(pattern, target, Options{Limit: 1})
+	if len(ms) == 0 {
 		t.Fatal("gossip-4 not found in column")
 	}
-	validateMonomorphism(t, pattern, target, m)
-	for _, v := range m {
+	validateMonomorphism(t, pattern, target, ms[0])
+	for _, v := range ms[0] {
 		if v == 6 || v == 7 {
-			t.Fatalf("matching used noise vertex: %v", m)
+			t.Fatalf("matching used noise vertex: %v", ms[0])
 		}
 	}
 }

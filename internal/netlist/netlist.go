@@ -160,31 +160,3 @@ func neighborsOf(arch *topology.Architecture, n graph.NodeID) []graph.NodeID {
 	sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
 	return nbs
 }
-
-// Summary reports instance and wire counts of the would-be netlist,
-// mirroring the resource comparison of Section 5.2 ("Both designs utilize
-// roughly 32% of the device resources").
-type Summary struct {
-	Routers     int
-	Links       int
-	RadixCounts map[int]int // radix -> router count
-	WireBits    int         // total flit wire bits
-}
-
-// Summarize computes the Summary without emitting text.
-func Summarize(arch *topology.Architecture, opts Options) (Summary, error) {
-	if arch == nil {
-		return Summary{}, fmt.Errorf("netlist: nil architecture")
-	}
-	opts.defaults()
-	s := Summary{
-		Routers:     len(arch.Nodes()),
-		Links:       arch.LinkCount(),
-		RadixCounts: map[int]int{},
-		WireBits:    2 * arch.LinkCount() * opts.FlitBits,
-	}
-	for _, n := range arch.Nodes() {
-		s.RadixCounts[arch.Degree(n)+1]++
-	}
-	return s, nil
-}

@@ -113,24 +113,3 @@ func TestVerilogValidation(t *testing.T) {
 		t.Fatal("linkless arch accepted")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	arch, _ := topology.Mesh(4, 4, nil)
-	s, err := Summarize(arch, Options{FlitBits: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Routers != 16 || s.Links != 24 {
-		t.Fatalf("summary = %+v", s)
-	}
-	// Mesh radix histogram: 4 corners r3, 8 edges r4, 4 centers r5.
-	if s.RadixCounts[3] != 4 || s.RadixCounts[4] != 8 || s.RadixCounts[5] != 4 {
-		t.Fatalf("radix counts = %v", s.RadixCounts)
-	}
-	if s.WireBits != 2*24*32 {
-		t.Fatalf("wire bits = %d", s.WireBits)
-	}
-	if _, err := Summarize(nil, Options{}); err == nil {
-		t.Fatal("nil arch accepted")
-	}
-}

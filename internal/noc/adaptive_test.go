@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -206,7 +207,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	run := func(n *Network) string {
 		t.Helper()
 		trace := UniformRandomTrace(n.Nodes(), 100, 96, 0.1, 17)
-		if err := n.Replay(trace, 1_000_000); err != nil {
+		if err := n.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := n.Stats().MarshalJSON()

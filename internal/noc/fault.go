@@ -16,8 +16,8 @@ import (
 // crosses a failed link or router (oblivious mode), or because no live
 // route exists at all (adaptive mode on a partitioned topology). Traffic
 // drivers treat it as "source blocked by the fault", not a simulation
-// error: Replay, ReplayWith and the sweep harness skip the event and the
-// network counts it under Stats.Blocked.
+// error: ReplayContext, ReplayWith and the sweep harness skip the event
+// and the network counts it under Stats.Blocked.
 var ErrRouteFaulted = errors.New("noc: route crosses a faulted element")
 
 // FaultKind distinguishes the failure modes of the fault model.

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -139,7 +140,7 @@ func TestResetRestoresPristineTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := UniformRandomTrace(n.Nodes(), 150, 128, 0.15, 3)
-	if err := n.Replay(trace, 1_000_000); err != nil {
+	if err := n.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if !n.Faulted() {
@@ -158,10 +159,10 @@ func TestResetRestoresPristineTopology(t *testing.T) {
 	}
 	auditNetwork(t, n, "after Reset")
 
-	if err := n.Replay(trace, 1_000_000); err != nil {
+	if err := n.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Replay(trace, 1_000_000); err != nil {
+	if err := fresh.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if n.Cycle() != fresh.Cycle() {
@@ -186,7 +187,7 @@ func TestResetWithFaultsEquivalentToFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	used := meshNet(t, 4, 4, cfg)
 	trace := UniformRandomTrace(used.Nodes(), 80, 64, 0.1, 9)
-	if err := used.Replay(trace, 1_000_000); err != nil {
+	if err := used.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	fm := NewFaultMap().AddLink(2, 3, 0)

@@ -174,7 +174,7 @@ func TestGoldenStatsJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := net.Replay(trace, 1_000_000); err != nil {
+		if err := net.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
 		st := net.Stats()

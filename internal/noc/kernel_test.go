@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -21,7 +22,7 @@ func runDeterministic(t *testing.T, net *Network, seed int64) ([]byte, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Replay(trace, 1_000_000); err != nil {
+	if err := net.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	st := net.Stats()
@@ -158,7 +159,7 @@ func TestRunUntilDrainedOverflowClamp(t *testing.T) {
 	net2 := meshNet(t, 2, 2, DefaultConfig())
 	net2.Step()
 	trace := Trace{{Cycle: 0, Src: 1, Dst: 4, Bits: 64}}
-	if err := net2.Replay(trace, math.MaxInt64); err != nil {
+	if err := net2.ReplayContext(context.Background(), trace, math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 }

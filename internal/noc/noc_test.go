@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,7 +117,7 @@ func TestConservationAllInjectedDelivered(t *testing.T) {
 	n := meshNet(t, 4, 4, DefaultConfig())
 	nodes := graph.Range(1, 16)
 	trace := UniformRandomTrace(nodes, 200, 64, 0.02, 7)
-	if err := n.Replay(trace, 100000); err != nil {
+	if err := n.ReplayContext(context.Background(), trace, 100000); err != nil {
 		t.Fatal(err)
 	}
 	st := n.Stats()
@@ -206,7 +207,7 @@ func TestThroughputReporting(t *testing.T) {
 
 func TestReplayFailsOnBadEvent(t *testing.T) {
 	n := meshNet(t, 2, 2, DefaultConfig())
-	err := n.Replay(Trace{{Cycle: 0, Src: 1, Dst: 1, Bits: 32}}, 100)
+	err := n.ReplayContext(context.Background(), Trace{{Cycle: 0, Src: 1, Dst: 1, Bits: 32}}, 100)
 	if err == nil {
 		t.Fatal("self-addressed trace event accepted")
 	}
@@ -356,7 +357,7 @@ func TestPropertySimulatorConservation(t *testing.T) {
 		nodes := arch.Nodes()
 		count := 20 + rng.Intn(50)
 		trace := UniformRandomTrace(nodes, count, 32+rng.Intn(128), 0.05, seed)
-		if err := n.Replay(trace, 1000000); err != nil {
+		if err := n.ReplayContext(context.Background(), trace, 1000000); err != nil {
 			return false
 		}
 		st := n.Stats()

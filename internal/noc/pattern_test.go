@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -303,7 +304,7 @@ func TestPatternTrafficSimulates(t *testing.T) {
 		if len(trace) == 0 {
 			t.Fatalf("%s: empty trace", name)
 		}
-		if err := n.Replay(trace, 1_000_000); err != nil {
+		if err := n.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st := n.Stats()

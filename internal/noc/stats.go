@@ -154,35 +154,6 @@ func (s Stats) TotalLinkTraversals() int64 {
 	return t
 }
 
-// LinkUtilization returns, for every directed link, the fraction of the
-// elapsed cycles in which it carried a flit — the post-simulation check
-// that no physical channel exceeded its capacity (a link moving one flit
-// per cycle saturates at 1.0).
-func (s Stats) LinkUtilization(cycles int64) map[[2]graph.NodeID]float64 {
-	out := make(map[[2]graph.NodeID]float64, len(s.LinkTraversals))
-	if cycles <= 0 {
-		return out
-	}
-	for k, v := range s.LinkTraversals {
-		out[k] = float64(v) / float64(cycles)
-	}
-	return out
-}
-
-// MaxLinkUtilization returns the hottest directed link and its
-// utilization.
-func (s Stats) MaxLinkUtilization(cycles int64) ([2]graph.NodeID, float64) {
-	var bestKey [2]graph.NodeID
-	best := 0.0
-	for k, u := range s.LinkUtilization(cycles) {
-		if u > best || (u == best && (k[0] < bestKey[0] || (k[0] == bestKey[0] && k[1] < bestKey[1]))) {
-			best = u
-			bestKey = k
-		}
-	}
-	return bestKey, best
-}
-
 // snapshot deep-copies the maps so callers cannot alias live state, and
 // normalizes the LatencyMin accumulator sentinel so a zero-delivery
 // snapshot reports 0 (not 1<<63-1) through field reads and JSON dumps.

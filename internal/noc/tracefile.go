@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteTrace serializes a trace as JSON lines-free compact JSON (one
@@ -47,10 +46,4 @@ func ValidateTrace(trace Trace) error {
 		}
 	}
 	return nil
-}
-
-// SortTrace orders events by cycle (stable), repairing traces assembled
-// from multiple generators.
-func SortTrace(trace Trace) {
-	sort.SliceStable(trace, func(i, j int) bool { return trace[i].Cycle < trace[j].Cycle })
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,26 +40,10 @@ func TestReadTraceRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestSortTraceRepairsOrder(t *testing.T) {
-	trace := Trace{
-		{Cycle: 9, Src: 1, Dst: 2, Bits: 32},
-		{Cycle: 1, Src: 2, Dst: 3, Bits: 32},
-		{Cycle: 9, Src: 3, Dst: 4, Bits: 32},
-	}
-	SortTrace(trace)
-	if err := ValidateTrace(trace); err != nil {
-		t.Fatal(err)
-	}
-	// Stability: the two cycle-9 events keep their relative order.
-	if trace[1].Src != 1 || trace[2].Src != 3 {
-		t.Fatalf("sort not stable: %+v", trace)
-	}
-}
-
 func TestReplayFromFileEquivalent(t *testing.T) {
 	n1 := meshNet(t, 3, 3, DefaultConfig())
 	trace := UniformRandomTrace(n1.Nodes(), 80, 64, 0.05, 9)
-	if err := n1.Replay(trace, 1_000_000); err != nil {
+	if err := n1.ReplayContext(context.Background(), trace, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +56,7 @@ func TestReplayFromFileEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2 := meshNet(t, 3, 3, DefaultConfig())
-	if err := n2.Replay(loaded, 1_000_000); err != nil {
+	if err := n2.ReplayContext(context.Background(), loaded, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	s1, s2 := n1.Stats(), n2.Stats()

@@ -22,18 +22,13 @@ type TrafficEvent struct {
 // Trace is a time-ordered injection schedule.
 type Trace []TrafficEvent
 
-// Replay drives the network with the trace, injecting events as their
-// cycles come due, then drains the network. It returns an error if the
-// network fails to drain within drainLimit extra cycles or an injection is
-// invalid.
-func (n *Network) Replay(trace Trace, drainLimit int64) error {
-	return n.ReplayContext(context.Background(), trace, drainLimit)
-}
-
-// ReplayContext is Replay with cancellation: the simulation checks the
-// context between cycles (every ctxCheckCycles, so the per-cycle hot path
-// stays select-free) and returns ctx.Err() as soon as it is done — the
-// hook command-line drivers use for Ctrl-C.
+// ReplayContext drives the network with the trace, injecting events as
+// their cycles come due, then drains the network. It returns an error if
+// the network fails to drain within drainLimit extra cycles or an
+// injection is invalid. The simulation checks ctx between cycles (every
+// ctxCheckCycles, so the per-cycle hot path stays select-free) and
+// returns ctx.Err() as soon as it is done — the hook command-line drivers
+// use for Ctrl-C.
 func (n *Network) ReplayContext(ctx context.Context, trace Trace, drainLimit int64) error {
 	return n.replay(ctx, trace, drainLimit, func(ev TrafficEvent) error {
 		_, err := n.Inject(ev.Src, ev.Dst, ev.Bits, ev.Tag)
@@ -112,8 +107,9 @@ func (n *Network) runUntilDrainedContext(ctx context.Context, maxCycles int64) b
 // strategies.
 type RouteChooser func(ev TrafficEvent) (route []graph.NodeID, vcs []int, err error)
 
-// ReplayWith drives the network with the trace like Replay, but asks the
-// chooser for each packet's route instead of the built-in routing table.
+// ReplayWith drives the network with the trace like ReplayContext, but
+// asks the chooser for each packet's route instead of the built-in
+// routing table.
 func (n *Network) ReplayWith(trace Trace, drainLimit int64, choose RouteChooser) error {
 	return n.replay(context.Background(), trace, drainLimit, func(ev TrafficEvent) error {
 		route, vcs, err := choose(ev)

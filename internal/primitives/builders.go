@@ -55,50 +55,6 @@ func NewGossip(n int) (*Primitive, error) {
 	return p, nil
 }
 
-// NewGossip6 constructs the gossip primitive on six vertices. Six is not
-// a power of two, so the recursive-pairing construction does not apply;
-// instead the implementation graph is the 9-link bipartite-style minimum
-// gossip graph with the classic 3-round schedule
-//
-//	round 1: (1,2) (3,4) (5,6)
-//	round 2: (1,3) (2,5) (4,6)
-//	round 3: (1,4) (2,6) (3,5)
-//
-// which completes gossiping in ceil(log2 6) = 3 rounds — the optimal time
-// for even n — using G(6) = 9 links, the known minimum edge count.
-func NewGossip6() (*Primitive, error) {
-	rep := graph.CompleteDigraph("MGG6-rep", graph.Range(1, 6), 0, 0)
-	impl := graph.New("MGG6-impl")
-	rounds := [][][2]graph.NodeID{
-		{{1, 2}, {3, 4}, {5, 6}},
-		{{1, 3}, {2, 5}, {4, 6}},
-		{{1, 4}, {2, 6}, {3, 5}},
-	}
-	var schedule []Round
-	for _, pairs := range rounds {
-		var round Round
-		for _, pr := range pairs {
-			round = append(round, Transfer{From: pr[0], To: pr[1], Exchange: true})
-			impl.SetEdge(graph.Edge{From: pr[0], To: pr[1]})
-			impl.SetEdge(graph.Edge{From: pr[1], To: pr[0]})
-		}
-		schedule = append(schedule, round)
-	}
-	p := &Primitive{
-		Name:     "MGG6",
-		Kind:     Gossip,
-		Size:     6,
-		Rep:      rep,
-		Impl:     impl,
-		Schedule: schedule,
-	}
-	p.Routes = deriveRoutes(p)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // NewBroadcast constructs the one-to-(n-1) broadcast primitive on n
 // vertices (root is vertex 1). The implementation graph is the (possibly
 // truncated) binomial tree, which achieves the optimal broadcast time

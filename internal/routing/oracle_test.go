@@ -12,7 +12,7 @@ import (
 
 // referenceDeadlock is the map-graph oracle for DeadlockFree and
 // AssignVirtualChannels: the channel dependency graph of
-// ChannelDependencyGraph checked with HasDirectedCycle, and — when it is
+// ChannelDependencyGraph checked with FindDirectedCycle, and — when it is
 // cyclic — 1 + the most descents of any route under the lexicographic
 // (From, To) order of the architecture's directed channels.
 func referenceDeadlock(t *testing.T, r Router, arch *topology.Architecture, pairs [][2]graph.NodeID) (free bool, numVCs int, order map[Channel]int) {
@@ -30,7 +30,7 @@ func referenceDeadlock(t *testing.T, r Router, arch *topology.Architecture, pair
 	for i, c := range chans {
 		order[c] = i
 	}
-	if !cdg.HasDirectedCycle() {
+	if cdg.FindDirectedCycle() == nil {
 		return true, 1, order
 	}
 	if pairs == nil {

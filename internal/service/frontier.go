@@ -105,16 +105,10 @@ func FrontierKey(req *FrontierRequest, lib *primitives.Library) (string, error) 
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// SubmitFrontier accepts one frontier-sweep request, with the same
-// (job, path, error) contract as Submit. A Done job's Encoded bytes are
-// the canonical NDJSON frontier document; while the job runs, emitted
-// points accumulate on the job's stream buffer (Job.StreamSince) in the
-// same byte form.
-func (s *Service) SubmitFrontier(req *FrontierRequest) (*Job, string, error) {
-	a, err := s.submitFrontier(req)
-	return a.job, a.path, err
-}
-
+// submitFrontier admits one frontier-sweep request as Submit admits a
+// synthesis. A Done job's Encoded bytes are the canonical NDJSON frontier
+// document; while the job runs, emitted points accumulate on the job's
+// stream buffer (Job.StreamSince) in the same byte form.
 func (s *Service) submitFrontier(req *FrontierRequest) (admission, error) {
 	if req == nil || req.Graph == nil || req.Graph.NodeCount() == 0 {
 		return admission{}, fmt.Errorf("service: empty frontier graph")

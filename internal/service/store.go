@@ -127,9 +127,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 func (s *DiskStore) path(key string) (string, error) {
 	if key == "" || strings.ToLower(key) != key {
 		return "", fmt.Errorf("service: disk store key %q not canonical hex", key)

@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -34,48 +33,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Min returns the minimum (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // tTable95 holds two-sided 95% Student-t critical values for 1..30
@@ -149,16 +106,6 @@ func (s *Series) Table() string {
 	fmt.Fprintf(&b, "# %s\n%-12s %-12s\n", s.Name, s.XLabel, s.YLabel)
 	for i := range s.X {
 		fmt.Fprintf(&b, "%-12.4g %-12.4g\n", s.X[i], s.Y[i])
-	}
-	return b.String()
-}
-
-// CSV renders the series as comma-separated values with a header.
-func (s *Series) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s,%s\n", s.XLabel, s.YLabel)
-	for i := range s.X {
-		fmt.Fprintf(&b, "%g,%g\n", s.X[i], s.Y[i])
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,22 +25,6 @@ func TestStdDev(t *testing.T) {
 	// Sample stddev of this classic set is ~2.138.
 	if math.Abs(got-2.1381) > 1e-3 {
 		t.Fatalf("stddev = %g", got)
-	}
-}
-
-func TestMinMaxMedian(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if Min(xs) != 1 || Max(xs) != 5 {
-		t.Fatalf("min/max = %g/%g", Min(xs), Max(xs))
-	}
-	if Median(xs) != 3 {
-		t.Fatalf("median = %g", Median(xs))
-	}
-	if Median([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if Min(nil) != 0 || Max(nil) != 0 || Median(nil) != 0 {
-		t.Fatal("empty cases")
 	}
 }
 
@@ -109,13 +94,9 @@ func TestSeriesRendering(t *testing.T) {
 	if !strings.Contains(tab, "fig4a") || !strings.Contains(tab, "nodes") {
 		t.Fatalf("table = %q", tab)
 	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "nodes,seconds\n5,0.01\n") {
-		t.Fatalf("csv = %q", csv)
-	}
 }
 
-// Property: Min <= Median <= Max and Min <= Mean <= Max.
+// Property: the mean lies between the least and the greatest sample.
 func TestPropertyOrderStatistics(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -129,8 +110,8 @@ func TestPropertyOrderStatistics(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		lo, hi := Min(xs), Max(xs)
-		return lo <= Median(xs) && Median(xs) <= hi && lo <= Mean(xs)+1e-9 && Mean(xs) <= hi+1e-9
+		lo, hi := slices.Min(xs), slices.Max(xs)
+		return lo <= Mean(xs)+1e-9 && Mean(xs) <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

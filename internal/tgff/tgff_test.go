@@ -21,7 +21,7 @@ func TestGenerateBasicShape(t *testing.T) {
 	if !g.WeaklyConnected() {
 		t.Fatal("graph disconnected")
 	}
-	if g.HasDirectedCycle() {
+	if g.FindDirectedCycle() != nil {
 		t.Fatal("task graph must be a DAG")
 	}
 }
@@ -93,7 +93,7 @@ func TestPropertyAlwaysConnectedDAG(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return g.NodeCount() == n && g.WeaklyConnected() && !g.HasDirectedCycle()
+		return g.NodeCount() == n && g.WeaklyConnected() && g.FindDirectedCycle() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

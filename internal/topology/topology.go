@@ -213,13 +213,6 @@ func (a *Architecture) Connected() bool {
 	return a.Graph().WeaklyConnected()
 }
 
-// BisectionDemandMbps returns the minimum over balanced bipartitions of
-// the demand crossing the cut — the quantity compared against the
-// technology's wiring budget in Section 4.2.
-func (a *Architecture) BisectionDemandMbps() float64 {
-	return a.Graph().BisectionBandwidth()
-}
-
 // Describe renders a deterministic multi-line summary.
 func (a *Architecture) Describe() string {
 	var b strings.Builder

@@ -240,7 +240,10 @@ func Synthesize(acg *Graph, opts Options) (*Result, error) {
 // SynthesizeContext is Synthesize with cancellation: the branch-and-bound
 // search stops early when ctx is done or its deadline expires, returning
 // the best feasible decomposition found so far (or an error if none was
-// found in time).
+// found in time). When the solve finds a decomposition but gluing,
+// routing or VC assignment fails (a disconnected ACG glues into an
+// architecture no routing table spans), the error comes with a Result
+// that holds only the Decomposition and Stats.
 func SynthesizeContext(ctx context.Context, acg *Graph, opts Options) (*Result, error) {
 	if acg == nil {
 		return nil, fmt.Errorf("repro: nil ACG")
@@ -276,25 +279,21 @@ func SynthesizeContext(ctx context.Context, acg *Graph, opts Options) (*Result, 
 	if res.Best == nil {
 		return nil, &InfeasibleError{Stats: res.Stats}
 	}
+	out := &Result{Decomposition: res.Best, Stats: res.Stats}
 	arch, err := topology.FromDecomposition(acg.Name()+"-custom", acg, res.Best, opts.Placement)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	table, err := routing.Build(arch)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	vcs, err := routing.AssignVirtualChannels(table, arch, nil)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	return &Result{
-		Decomposition: res.Best,
-		Architecture:  arch,
-		Routing:       table,
-		VCs:           vcs,
-		Stats:         res.Stats,
-	}, nil
+	out.Architecture, out.Routing, out.VCs = arch, table, vcs
+	return out, nil
 }
 
 // NewNetwork builds a simulator over a synthesized result. All networks
@@ -360,13 +359,16 @@ func FFTACG(n, sampleBits int, bwPerBit float64) (*Graph, error) {
 
 // RunFFT executes the distributed FFT of the given random-seeded samples
 // on the network, verifies the outputs against the direct DFT, and
-// reports timing and energy.
+// reports the transform's own timing and energy: both are counted from
+// the cycle it started at, so a network that already ran traffic reports
+// only this run.
 func RunFFT(net *Network, n int, seed int64, em EnergyModel) (totalCycles int64, energyUJ float64, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	samples := make([]complex128, n)
 	for i := range samples {
 		samples[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 	}
+	startPJ := net.EnergyPJ(em)
 	res, err := fft.TransformDistributed(net, samples, fft.DefaultDistConfig())
 	if err != nil {
 		return 0, 0, err
@@ -377,7 +379,7 @@ func RunFFT(net *Network, n int, seed int64, em EnergyModel) (totalCycles int64,
 			return 0, 0, fmt.Errorf("repro: distributed FFT bin %d deviates from DFT", k)
 		}
 	}
-	return res.TotalCycles, net.EnergyPJ(em) * 1e-6, nil
+	return res.TotalCycles, (net.EnergyPJ(em) - startPJ) * 1e-6, nil
 }
 
 // TaskAssignment maps application tasks to network cores.
@@ -433,7 +435,9 @@ type AESComparison struct {
 
 // RunAES encrypts the given number of random-ish blocks with the 16-node
 // distributed AES on the provided network and reports the paper's
-// metrics under the energy model.
+// metrics under the energy model. Cycles, latency, power and energy are
+// the run's own, counted from the cycle it started at, so a network that
+// already ran traffic reports only this run.
 func RunAES(net *Network, name string, blocks int, em EnergyModel) (*AESComparison, error) {
 	if blocks <= 0 {
 		return nil, fmt.Errorf("repro: blocks = %d", blocks)
@@ -451,6 +455,7 @@ func RunAES(net *Network, name string, blocks int, em EnergyModel) (*AESComparis
 		}
 		pts = append(pts, b)
 	}
+	before, startPJ := net.Stats(), net.EnergyPJ(em)
 	res, err := aes.EncryptDistributed(net, ks, pts, aes.DefaultDistConfig())
 	if err != nil {
 		return nil, err
@@ -469,14 +474,20 @@ func RunAES(net *Network, name string, blocks int, em EnergyModel) (*AESComparis
 	cfg := net.Config()
 	// Throughput per the paper: 128 bits per Delta cycles at the clock.
 	throughput := 128.0 / res.CyclesPerBlock * cfg.ClockMHz
-	energyPJ := net.EnergyPJ(em)
+	energyPJ := net.EnergyPJ(em) - startPJ
 	perBlockUJ := energyPJ / float64(blocks) * 1e-6
+	// The same arithmetic as Network.AveragePowerMW, over the run's cycles.
+	seconds := float64(res.TotalCycles) / (cfg.ClockMHz * 1e6)
+	run := noc.Stats{
+		Delivered:  res.Stats.Delivered - before.Delivered,
+		LatencySum: res.Stats.LatencySum - before.LatencySum,
+	}
 	return &AESComparison{
 		Name:            name,
 		CyclesPerBlock:  res.CyclesPerBlock,
 		ThroughputMbps:  throughput,
-		AvgLatency:      res.Stats.AvgLatency(),
-		AvgPowerMW:      net.AveragePowerMW(em),
+		AvgLatency:      run.AvgLatency(),
+		AvgPowerMW:      energyPJ * 1e-12 / seconds * 1e3,
 		EnergyPerBlock:  perBlockUJ,
 		Links:           0,
 		DeliveredBlocks: blocks,

@@ -175,6 +175,53 @@ func TestMapTasksValidation(t *testing.T) {
 	}
 }
 
+// Two disjoint K4s decompose into two MGG4s, but their glued
+// architecture is disconnected, so no routing table spans it: the error
+// comes with the solved decomposition and its stats.
+func TestSynthesizeUnroutableKeepsDecomposition(t *testing.T) {
+	acg := NewACG("two-k4")
+	for _, base := range []NodeID{1, 5} {
+		for a := base; a < base+4; a++ {
+			for b := base; b < base+4; b++ {
+				if a != b {
+					acg.AddEdge(Edge{From: a, To: b, Volume: 8, Bandwidth: 1})
+				}
+			}
+		}
+	}
+	res, err := Synthesize(acg, Options{Mode: CostLinks, Timeout: 30 * time.Second})
+	if err == nil {
+		t.Fatal("disconnected architecture routed")
+	}
+	if res == nil || res.Decomposition == nil || res.Decomposition.Cost != 8 || res.Stats.NodesExplored == 0 {
+		t.Fatalf("result with error = %+v, want the cost-8 decomposition and its stats", res)
+	}
+	if res.Architecture != nil {
+		t.Fatal("unroutable result carries an architecture")
+	}
+}
+
+// A second RunFFT on the same mesh reports the first run's cycles and
+// energy: both are counted from the transform's start.
+func TestRunFFTRepeatedOnOneNetwork(t *testing.T) {
+	cfg := NetworkConfig{FlitBits: 32, BufferFlits: 4, NumVCs: 1, LinkCycles: 1, RouterCycles: 3, ClockMHz: 100}
+	net, _, err := MeshNetwork(4, 4, GridPlacement(16, 1, 1, 0.2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles1, energy1, err := RunFFT(net, 16, 7, Tech180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles2, energy2, err := RunFFT(net, 16, 7, Tech180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycles2 != cycles1 || energy2 != energy1 {
+		t.Fatalf("second run %d cycles, %g uJ; first %d cycles, %g uJ", cycles2, energy2, cycles1, energy1)
+	}
+}
+
 func TestRunAESValidatesInput(t *testing.T) {
 	cfg := NetworkConfig{FlitBits: 32, BufferFlits: 4, NumVCs: 1, LinkCycles: 1, RouterCycles: 3, ClockMHz: 100}
 	net, _, err := MeshNetwork(4, 4, nil, cfg)
