@@ -885,3 +885,88 @@ func BenchmarkGenerateTrace(b *testing.B) {
 		})
 	}
 }
+
+// codecFixtures synthesizes the results the wire-codec benchmarks encode
+// and decode: the Figure 6a AES graph in links mode on the 4x4 grid
+// floorplan (~11 KB on the wire) and a 30-node scale-free graph (~35 KB,
+// most of it the 870-hop routing table).
+func codecFixtures(tb testing.TB) []struct {
+	name string
+	res  *Result
+} {
+	tb.Helper()
+	ba, err := randgraph.BarabasiAlbert(30, 2, 8, 64, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	aes, err := Synthesize(AESACG(0.1), Options{Mode: CostLinks, Placement: GridPlacement(16, 1, 1, 0.2), Timeout: 30 * time.Second})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ba30, err := Synthesize(ba, Options{Mode: CostLinks, Timeout: 30 * time.Second})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []struct {
+		name string
+		res  *Result
+	}{{"aes-links", aes}, {"ba30", ba30}}
+}
+
+// BenchmarkResultEncode times EncodeJSON, the last stage of every
+// synthesis request: result in, canonical wire bytes out.
+func BenchmarkResultEncode(b *testing.B) {
+	for _, fx := range codecFixtures(b) {
+		b.Run(fx.name, func(b *testing.B) {
+			enc, err := fx.res.EncodeJSON()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(enc)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fx.res.EncodeJSON(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkResultDecode times DecodeResult on the same bytes: what the
+// synthesis service pays to serve a stored result.
+func BenchmarkResultDecode(b *testing.B) {
+	lib := DefaultLibrary()
+	for _, fx := range codecFixtures(b) {
+		b.Run(fx.name, func(b *testing.B) {
+			enc, err := fx.res.EncodeJSON()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(enc)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeResult(enc, lib); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestResultEncodeAllocs guards the one-buffer encoder: EncodeJSON of the
+// AES result allocates its exact-size output and the scratch slices that
+// sort its map-backed parts, not a buffer per nested value: 7
+// allocations (160 with reflection). The race detector drops some
+// buffers put back in the pool, each costing one more.
+func TestResultEncodeAllocs(t *testing.T) {
+	res := codecFixtures(t)[0].res
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := res.EncodeJSON(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("%.0f allocations per AES EncodeJSON, want <= 10", allocs)
+	}
+}

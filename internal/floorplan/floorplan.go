@@ -16,7 +16,7 @@ package floorplan
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -88,7 +88,7 @@ func (p *Placement) Cores() []graph.NodeID {
 	for id := range p.origins {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

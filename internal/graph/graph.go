@@ -14,7 +14,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -159,23 +161,21 @@ func (g *Graph) Nodes() []NodeID {
 	for id := range g.nodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
 // Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.edges)
-	for _, from := range g.Nodes() {
-		tos := make([]NodeID, 0, len(g.out[from]))
-		for to := range g.out[from] {
-			tos = append(tos, to)
-		}
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-		for _, to := range tos {
-			es = append(es, *g.out[from][to])
+	for _, out := range g.out {
+		for _, e := range out {
+			es = append(es, *e)
 		}
 	}
+	slices.SortFunc(es, func(x, y Edge) int {
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+	})
 	return es
 }
 

@@ -152,9 +152,11 @@ func TestTableJSONRejectsSparseIDs(t *testing.T) {
 }
 
 // FuzzTableUnmarshal: no input panics the decoder or Route over the
-// decoded table, and every accepted input re-marshals to a canonical
-// form that decodes and re-marshals to the same bytes. Seed corpus
-// lives under testdata/fuzz/; run with
+// decoded table; the decoder accepts exactly what the reflection
+// reference (json_ref_test.go) accepts, decodes it to the same table and
+// re-encodes it to the same bytes; and every accepted input re-marshals
+// to a canonical form that decodes and re-marshals to the same bytes.
+// Seed corpus lives under testdata/fuzz/; run with
 //
 //	go test ./internal/routing -fuzz FuzzTableUnmarshal -fuzztime 30s
 func FuzzTableUnmarshal(f *testing.F) {
@@ -173,9 +175,12 @@ func FuzzTableUnmarshal(f *testing.F) {
 	f.Add([]byte(`[{"node":2,"dst":1,"next":1},{"node":1,"dst":2,"next":2},{"node":1,"dst":2,"next":2}]`))
 	f.Add([]byte(`[{"node":1,"dst":2,"next":2},{"node":1,"dst":2,"next":3}]`))
 	f.Add([]byte(`[{"node":-5,"dst":-5,"next":9223372036854775807}]`))
+	for _, in := range tableCodecInputs {
+		f.Add([]byte(in))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tab Table
-		if err := tab.UnmarshalJSON(data); err != nil {
+		tab, ok := checkTableDecode(t, data)
+		if !ok {
 			return
 		}
 		enc, err := tab.MarshalJSON()

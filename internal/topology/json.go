@@ -1,42 +1,98 @@
 package topology
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/floorplan"
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
-// jsonArch is the wire form of an Architecture. Links and preferred routes
-// are already deterministically ordered by the Links/PreferredPairs
-// accessors, so equal architectures encode to identical bytes.
-type jsonArch struct {
-	Name      string               `json:"name"`
-	Nodes     []graph.NodeID       `json:"nodes"`
-	Links     []jsonLink           `json:"links"`
-	Preferred [][]graph.NodeID     `json:"preferredRoutes,omitempty"`
-	Placement *floorplan.Placement `json:"placement,omitempty"`
-}
+// The wire form of an Architecture is
+//
+//	{"name":…,"nodes":[…],"links":[{"a":…,"b":…,"lengthMM":…,"demandMbps":…},…],
+//	 "preferredRoutes":[[…],…],"placement":{…}}
+//
+// with links in (a, b) order and preferred routes in (source,
+// destination) order, so equal architectures encode to identical bytes.
+// An architecture without nodes or links writes null for them; one
+// without preferred routes or placement omits the member.
 
-type jsonLink struct {
-	A        graph.NodeID `json:"a"`
-	B        graph.NodeID `json:"b"`
-	LengthMM float64      `json:"lengthMM"`
-	Demand   float64      `json:"demandMbps"`
-}
+var (
+	archKeys = []string{"name", "nodes", "links", "preferredRoutes", "placement"}
+	linkKeys = []string{"a", "b", "lengthMM", "demandMbps"}
+)
 
 // MarshalJSON encodes the architecture deterministically.
-func (a *Architecture) MarshalJSON() ([]byte, error) {
-	ja := jsonArch{Name: a.Name, Nodes: a.Nodes(), Placement: a.placement}
-	for _, l := range a.Links() {
-		ja.Links = append(ja.Links, jsonLink{A: l.A, B: l.B, LengthMM: l.LengthMM, Demand: l.DemandMbps})
+func (a *Architecture) MarshalJSON() ([]byte, error) { return a.AppendJSON(nil) }
+
+// AppendJSON appends the architecture's wire form to b.
+func (a *Architecture) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"name":`...)
+	b = wire.AppendString(b, a.Name)
+	b = append(b, `,"nodes":`...)
+	b = appendRoute(b, a.nodes)
+	b = append(b, `,"links":`...)
+	var err error
+	if len(a.links) == 0 {
+		b = append(b, "null"...)
+	} else {
+		for i, l := range a.Links() {
+			if i == 0 {
+				b = append(b, '[')
+			} else {
+				b = append(b, ',')
+			}
+			b = append(b, `{"a":`...)
+			b = wire.AppendInt(b, l.A)
+			b = append(b, `,"b":`...)
+			b = wire.AppendInt(b, l.B)
+			b = append(b, `,"lengthMM":`...)
+			b = wire.AppendFloat(b, l.LengthMM, &err)
+			b = append(b, `,"demandMbps":`...)
+			b = wire.AppendFloat(b, l.DemandMbps, &err)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
-	for _, pair := range a.PreferredPairs() {
-		r, _ := a.PreferredRoute(pair[0], pair[1])
-		ja.Preferred = append(ja.Preferred, r)
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(ja)
+	if len(a.preferred) > 0 {
+		b = append(b, `,"preferredRoutes":`...)
+		for i, pair := range a.PreferredPairs() {
+			if i == 0 {
+				b = append(b, '[')
+			} else {
+				b = append(b, ',')
+			}
+			b = appendRoute(b, a.preferred[pair])
+		}
+		b = append(b, ']')
+	}
+	if a.placement != nil {
+		b = append(b, `,"placement":`...)
+		if b, err = a.placement.AppendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendRoute appends a node list, null when it is empty.
+func appendRoute(b []byte, ids []graph.NodeID) []byte {
+	if len(ids) == 0 {
+		return append(b, "null"...)
+	}
+	for i, id := range ids {
+		if i == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
+		}
+		b = wire.AppendInt(b, id)
+	}
+	return append(b, ']')
 }
 
 // UnmarshalJSON decodes an architecture produced by MarshalJSON. Link
@@ -44,28 +100,87 @@ func (a *Architecture) MarshalJSON() ([]byte, error) {
 // so a round trip is exact even for hand-built architectures whose lengths
 // never came from a floorplan.
 func (a *Architecture) UnmarshalJSON(data []byte) error {
-	var ja jsonArch
-	if err := json.Unmarshal(data, &ja); err != nil {
-		return err
+	r := wire.NewReader(data)
+	a.ReadJSON(r)
+	return r.Finish()
+}
+
+// ReadJSON reads an architecture's wire form from r into a, replacing
+// it; null reads as the empty architecture. Links must be listed once
+// each in canonical (A < B) order. Errors are recorded in r.
+func (a *Architecture) ReadJSON(r *wire.Reader) {
+	var name string
+	var nodes []graph.NodeID
+	var links []Link
+	var preferred [][]graph.NodeID
+	var placement *floorplan.Placement
+	if !r.Null() && r.Object() {
+		for r.More() {
+			switch r.Key(archKeys) {
+			case "name":
+				r.String(&name)
+			case "nodes":
+				nodes = wire.Slice(r, nodes, wire.Int[graph.NodeID])
+			case "links":
+				links = wire.Slice(r, links, readLink)
+			case "preferredRoutes":
+				preferred = wire.Slice(r, preferred, readRoute)
+			case "placement":
+				if r.Null() {
+					placement = nil
+				} else {
+					placement = new(floorplan.Placement)
+					placement.ReadJSON(r)
+				}
+			default:
+				r.Skip()
+			}
+		}
 	}
-	out := New(ja.Name, ja.Nodes, ja.Placement)
-	for _, l := range ja.Links {
+	if r.Err() != nil {
+		return
+	}
+	out := New(name, nodes, placement)
+	for _, l := range links {
 		if l.A >= l.B {
-			return fmt.Errorf("topology: link %d-%d not in canonical (A < B) order", l.A, l.B)
+			r.Fail(fmt.Errorf("topology: link %d-%d not in canonical (A < B) order", l.A, l.B))
+			return
 		}
-		if _, dup := out.links[l.Key2()]; dup {
-			return fmt.Errorf("topology: duplicate link %d-%d", l.A, l.B)
+		if _, dup := out.links[l.Key()]; dup {
+			r.Fail(fmt.Errorf("topology: duplicate link %d-%d", l.A, l.B))
+			return
 		}
-		out.links[l.Key2()] = &Link{A: l.A, B: l.B, LengthMM: l.LengthMM, DemandMbps: l.Demand}
+		out.links[l.Key()] = &l
 	}
-	for _, r := range ja.Preferred {
-		if err := out.SetPreferredRoute(r); err != nil {
-			return err
+	for _, route := range preferred {
+		if err := out.SetPreferredRoute(route); err != nil {
+			r.Fail(err)
+			return
 		}
 	}
 	*a = *out
-	return nil
 }
 
-// Key2 returns the canonical endpoint pair of the wire link.
-func (l jsonLink) Key2() [2]graph.NodeID { return [2]graph.NodeID{l.A, l.B} }
+func readLink(r *wire.Reader, l *Link) {
+	if r.Null() || !r.Object() {
+		return
+	}
+	for r.More() {
+		switch r.Key(linkKeys) {
+		case "a":
+			wire.Int(r, &l.A)
+		case "b":
+			wire.Int(r, &l.B)
+		case "lengthMM":
+			r.Float(&l.LengthMM)
+		case "demandMbps":
+			r.Float(&l.DemandMbps)
+		default:
+			r.Skip()
+		}
+	}
+}
+
+func readRoute(r *wire.Reader, route *[]graph.NodeID) {
+	*route = wire.Slice(r, *route, wire.Int[graph.NodeID])
+}

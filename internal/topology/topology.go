@@ -12,7 +12,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -118,11 +120,8 @@ func (a *Architecture) Links() []Link {
 	for _, l := range a.links {
 		out = append(out, *l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
+	slices.SortFunc(out, func(x, y Link) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	return out
 }
@@ -196,11 +195,8 @@ func (a *Architecture) PreferredPairs() [][2]graph.NodeID {
 	for k := range a.preferred {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	slices.SortFunc(keys, func(x, y [2]graph.NodeID) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
 	})
 	return keys
 }

@@ -160,19 +160,23 @@ func TestDecodeResultRejects(t *testing.T) {
 	}
 }
 
-// FuzzDecodeResult: decoding arbitrary bytes never panics, and any input
-// DecodeResult accepts re-encodes to bytes that are a fixed point —
-// they decode and encode to themselves.
+// FuzzDecodeResult: decoding arbitrary bytes never panics; DecodeResult
+// accepts exactly what the reflection reference accepts, decodes it to
+// the same result and re-encodes it to the same bytes; and any accepted
+// input re-encodes to bytes that are a fixed point — they decode and
+// encode to themselves.
 func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte(resultWireGolden))
 	f.Add([]byte(`{"version":1,"decomposition":{"cost":0,"remainderCost":0,"matches":[]}}`))
 	f.Add([]byte(`{"version":1,"decomposition":{"matches":[{"primitive":1,"mapping":[[1,2],[1,3]]}]},"architecture":null}`))
 	f.Add([]byte(`{"version":1,"decomposition":{"matches":[{"primitive":0}]}}`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"Version":1,"decomposition":{"matches":[{"primitive":1,"mapping":[[1,2,3]]}]},"decomposition":{"matches":[{"cost":2}]},"stats":{"workers":2}}`))
+	f.Add([]byte(`{"version":1,"architecture":{"name":"a<b>","nodes":[1,2],"links":[{"a":1,"b":2}],"placement":{"cores":[{"id":1}]}},"routing":null,"vcs":{"labels":[{"from":1,"to":2}]}}`))
 	lib := DefaultLibrary()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := DecodeResult(data, lib)
-		if err != nil {
+		res := checkResultDecode(t, data, lib)
+		if res == nil {
 			return
 		}
 		enc, err := res.EncodeJSON()

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark recorder: runs the perf-trajectory benchmark set (solver,
 # VF2, NoC simulator + batch engine, synthesis-service path, traffic
-# sweep) and appends one labeled entry to BENCH_trajectory.json — the
+# sweep, Result wire encode/decode) and appends one labeled entry to BENCH_trajectory.json — the
 # single cross-PR perf record (entries pr2..pr5 were merged from the
 # former per-PR BENCH_pr*.json files; git history has the originals).
 # EXPERIMENTS.md documents the before/after numbers of each PR; CI
@@ -23,7 +23,7 @@ trajectory="BENCH_trajectory.json"
 count="${BENCH_COUNT:-3}"
 
 raw=$(go test -run '^$' \
-    -bench 'BenchmarkSolverParallelism|BenchmarkFig6_AESDecomposition|BenchmarkFig6_AESEnergy|BenchmarkTableAES_Mesh|BenchmarkTableAES_Compare|BenchmarkSweepUniformMesh|BenchmarkFrontierAES' \
+    -bench 'BenchmarkSolverParallelism|BenchmarkFig6_AESDecomposition|BenchmarkFig6_AESEnergy|BenchmarkTableAES_Mesh|BenchmarkTableAES_Compare|BenchmarkSweepUniformMesh|BenchmarkFrontierAES|BenchmarkResultEncode|BenchmarkResultDecode' \
     -benchmem -benchtime "$benchtime" -count "$count" .)
 
 # Figure 4b at the two largest sizes: 30- and 40-node Pajek-style random
